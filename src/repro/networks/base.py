@@ -435,7 +435,20 @@ class BaseNetwork(ABC):
     # scheme-specific reactions to link state changes
 
     def _on_link_down(self, port: int) -> None:
-        """React to a transient outage starting (override per scheme)."""
+        """A transient outage: open recovery windows for affected traffic.
+
+        Every connection with bytes queued from or to ``port`` is marked
+        disrupted.  Schemes that queue elsewhere than in the VOQs override
+        this.
+        """
+        inj = self.fault_injector
+        assert inj is not None
+        pending = self.nics[port].voqs.bytes_pending
+        for v in np.nonzero(pending > 0)[0].tolist():
+            inj.note_disrupted(port, v)
+        for nic in self.nics:
+            if nic.port != port and nic.voqs.bytes_pending[port] > 0:
+                inj.note_disrupted(nic.port, port)
 
     def _on_link_up(self, port: int) -> None:
         """React to a transient outage ending (override per scheme)."""

@@ -76,9 +76,9 @@ class CircuitNetwork(BaseNetwork):
                 f"{self.topology.name!r} has {self.topology.n_switches} "
                 f"switches (use the mesh-tdm / fattree-tdm schemes)"
             )
-        #: accepted for RunSpec symmetry with the TDM schemes and ignored:
-        #: circuit switching has no periodic slot clock, so there is no
-        #: slot-synchronous fast path to select (repro.sim.fastpath)
+        #: circuit switching has no periodic slot clock, so there are no
+        #: slot-synchronous windows (repro.sim.fastpath); fast mode only
+        #: swaps in the bit-identical batch wavefront
         self.fast = False if fast is None else bool(fast)
         self.rotation_template = rotation
         self.scheduler: Scheduler | None = None

@@ -831,17 +831,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
 
     # -- endpoint link-state reactions --------------------------------------------------
 
-    def _on_link_down(self, port: int) -> None:
-        """A transient endpoint outage: open recovery windows."""
-        inj = self.fault_injector
-        assert inj is not None
-        pending = self.nics[port].voqs.bytes_pending
-        for v in np.nonzero(pending > 0)[0].tolist():
-            inj.note_disrupted(port, v)
-        for nic in self.nics:
-            if nic.port != port and nic.voqs.bytes_pending[port] > 0:
-                inj.note_disrupted(nic.port, port)
-
     def _on_link_dead(self, port: int) -> None:
         """An endpoint died for good: drop its traffic, free its circuits."""
         victims: list[Message] = []

@@ -101,7 +101,8 @@ class RunSpec:
     faults: FaultInjector | None = None
     #: slot-synchronous fast execution for the TDM schemes (byte-identical
     #: to the event path; see repro.sim.fastpath).  None defers to the
-    #: REPRO_FAST environment variable; non-TDM schemes ignore it.
+    #: REPRO_FAST environment variable; circuit takes only the batch
+    #: wavefront from it, and the other non-TDM schemes ignore it.
     fast: bool | None = None
     strict: bool | None = None
     max_wall_s: float | None = None

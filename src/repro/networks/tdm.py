@@ -54,7 +54,7 @@ from ..sched.priority import RotationPolicy, RoundRobinPriority
 from ..sched.scheduler import Scheduler
 from ..sched.solstice import solstice_schedule
 from ..sim.engine import Priority
-from ..sim.fastpath import FastPath, fast_from_env, fastpath_ineligible
+from ..sim.fastpath import FastPath, fast_from_env
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
@@ -171,8 +171,8 @@ class TdmNetwork(BaseNetwork):
         #: paper's exact-Δ frame, "packed" the demand-weighted variant
         self.coloring = coloring
         self.scheme = f"tdm-{mode}"
-        #: slot-synchronous fast execution (repro.sim.fastpath) — byte-
-        #: identical to the event path; irregular runs fall back per run
+        #: arm the slot-synchronous windows (repro.sim.fastpath) — byte-
+        #: identical to the event path; irregular runs stay tick by tick
         self.fast = fast_from_env() if fast is None else bool(fast)
         # per-run state
         self._fastpath: FastPath | None = None
@@ -238,12 +238,9 @@ class TdmNetwork(BaseNetwork):
         # lifecycle layer through the lifecycle_* callbacks below
         self._degraded = False
         self.lifecycle.attach_scheduler(self.scheduler, client=self)
-        # slot-synchronous execution: decided per run, after the fault and
+        # the data plane; it arms its windows per run, after the fault and
         # scheduler state above is known (_faults_active is set by run())
-        if self.fast and fastpath_ineligible(self) is None:
-            self._fastpath = FastPath(self)
-        else:
-            self._fastpath = None
+        self._fastpath = FastPath(self)
 
     def _inject(self, phase: TrafficPhase) -> None:
         """Inject a phase, honouring the per-NIC injection window.
@@ -583,55 +580,43 @@ class TdmNetwork(BaseNetwork):
     def _slot_tick(self) -> None:
         fp = self._fastpath
         sched = self.scheduler
-        assert sched is not None
+        assert fp is not None and sched is not None
         t = self.sim.now
         pending = sched.r_view if self.skip_idle_slots else None
         slot = sched.tdm.advance(pending)
         if slot is not None:
             assert self.crossbar is not None
             self.crossbar.apply(sched.registers[slot])
-            if fp is not None:
-                fp.transfer_slot(slot, t)
-            else:
-                self._transfer_slot(slot, t)
+            self._transfer_slot(slot, t)
             self._maybe_advance_batch()
         if self._phase_remaining > 0 or self.sim.pending > 0:
             self.sim.schedule(self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC)
-        if fp is not None:
+        if fp.armed:
             # with both clocks re-armed the window precomputation can see
             # the full heap; opening is refused unless provably safe
             fp.maybe_open_window()
 
     def _transfer_slot(self, slot: int, t: int) -> None:
-        """Move data over every granted connection of one slot."""
+        """Move data over every granted connection of one slot.
+
+        :meth:`FastPath.transfer_slot` selects and drains the connections;
+        this applies the network's reactions to what moved, connection by
+        connection in input-port order.
+        """
         params = self.params
         sched = self.scheduler
-        assert sched is not None
+        assert sched is not None and self._fastpath is not None
+        assert self._conn_ready is not None and self.crossbar is not None
         cfg = sched.registers[slot]
-        slot_bytes = params.slot_bytes
-        byte_ps = params.byte_ps
-        conn_ready = self._conn_ready
-        assert conn_ready is not None
+        self._slot_opportunities += len(cfg)
         faults_active = self._faults_active
+        moves = self._fastpath.transfer_slot(
+            cfg, t, self._conn_ready, self._link_down if faults_active else None
+        )
         tracer = self.tracer
         trace = tracer.enabled
-        slot_conns = 0
-        slot_bytes_moved = 0
-        for u, v in cfg.connections():
-            nic = self.nics[u]
-            self._slot_opportunities += 1
-            if conn_ready[u, v] > t:
-                continue  # the NIC has not seen this grant yet
-            if faults_active and (self._link_down[u] or self._link_down[v]):
-                continue  # an endpoint's links are out — no data this slot
-            if nic.voqs.bytes_pending[v] <= 0:
-                continue
-            moved, done = nic.voqs.drain(v, slot_bytes, t, byte_ps)
-            if moved == 0:
-                continue
+        for u, v, moved, done in moves:
             self._slot_transfers += 1
-            slot_conns += 1
-            slot_bytes_moved += moved
             if trace:
                 tracer.record(t, "xfer", src=u, dst=v, bytes=moved, slot=slot)
             self.ledger.send(u, v, moved)
@@ -660,12 +645,10 @@ class TdmNetwork(BaseNetwork):
                     if conn is not None:
                         # the Figure-1 predictor sits beside the scheduler,
                         # so the latch is set without a wire delay
-                        sched = self.scheduler
-                        assert sched is not None
                         sched.latched[conn.src, conn.dst] = True
                 if self.injection_window is not None:
                     self._feed_nic(u)
-            if nic.voqs.bytes_pending[v] == 0:
+            if self.nics[u].voqs.bytes_pending[v] == 0:
                 hold = self.predictor.on_empty(u, v, t)
                 self.sim.schedule(
                     params.request_wire_ps,
@@ -677,14 +660,15 @@ class TdmNetwork(BaseNetwork):
                 )
         if trace:
             tracer.record(
-                t, "slot-transfer", slot=slot, conns=slot_conns, bytes=slot_bytes_moved
+                t, "slot-transfer", slot=slot, conns=len(moves), bytes=sum(m[2] for m in moves)
             )
 
     # -- the SL clock -------------------------------------------------------------------------
 
     def _sl_tick(self) -> None:
         fp = self._fastpath
-        if fp is not None and fp.handle_sl_tick():
+        assert fp is not None
+        if fp.armed and fp.handle_sl_tick():
             return  # a provably no-op pass, applied without the SL array
         sched = self.scheduler
         assert sched is not None
@@ -696,9 +680,8 @@ class TdmNetwork(BaseNetwork):
                 if not sched.r_view[conn.src, conn.dst]:
                     sched.latched[conn.src, conn.dst] = False
         if self.boost_policy is not None:
-            queue_bytes = np.stack([nic.voqs.bytes_pending for nic in self.nics])
-            self.boost_policy.update(queue_bytes)
-            self.boost_policy.release_excess(queue_bytes)
+            self.boost_policy.update(fp.queue_bytes)
+            self.boost_policy.release_excess(fp.queue_bytes)
         if isinstance(sched, MultiUnitScheduler):
             passes = sched.sl_tick()
         else:
@@ -797,17 +780,6 @@ class TdmNetwork(BaseNetwork):
         self._degrade_to_dynamic()
 
     # -- link-state reactions (repro.faults) ------------------------------------------------------
-
-    def _on_link_down(self, port: int) -> None:
-        """A transient outage: open recovery windows for affected traffic."""
-        inj = self.fault_injector
-        assert inj is not None
-        pending = self.nics[port].voqs.bytes_pending
-        for v in np.nonzero(pending > 0)[0].tolist():
-            inj.note_disrupted(port, v)
-        for nic in self.nics:
-            if nic.port != port and nic.voqs.bytes_pending[port] > 0:
-                inj.note_disrupted(nic.port, port)
 
     def _on_link_dead(self, port: int) -> None:
         """A port died for good: give up every message it touches.

@@ -1,11 +1,19 @@
-"""Slot-synchronous fast execution for the TDM network model.
+"""The single-crossbar TDM data plane and its slot-synchronous fast path.
 
-The discrete-event model spends most of its time in two periodic events —
-the TDM slot tick and the SL scheduler tick — whose work is, for long
-stretches of a run, completely predictable: established connections stream
-one slot's worth of bytes per turn while the scheduler's pre-scheduling
-matrix stays empty.  This module exploits that regularity without changing
-a single observable of the simulation:
+Every :class:`~repro.networks.tdm.TdmNetwork` run owns one
+:class:`FastPath`.  Its :meth:`FastPath.transfer_slot` is the network's
+only per-slot transfer, in every mode (event, ``--fast``, traced,
+faulted): the grant/ready/pending/link-up selection is one vector mask
+over a shared ``(n, n)`` queue-byte matrix, and the common mid-message
+slot — a pure partial drain — is inlined without touching the deque.
+The network applies its reactions (ledger, predictor, deliveries, trace
+records, ...) to what the transfer reports.
+
+The rest of this module exploits the regularity of the two periodic
+events — the TDM slot tick and the SL scheduler tick — whose work is, for
+long stretches of a run, completely predictable.  These layers are armed
+only for ``fast=`` runs that :func:`fastpath_ineligible` accepts, and
+change no observable of the simulation:
 
 * when a *quiescent window* is proven — an interval in which the scheduler
   is inert, per-slot transfers are pure arithmetic, and **no other heap
@@ -20,9 +28,7 @@ a single observable of the simulation:
 * outside windows, an SL tick whose pre-scheduling matrix is provably
   empty (:meth:`FastPath.handle_sl_tick`) skips the full pass and applies
   its only effects — cursor, rotation, pass counters — directly;
-* :meth:`FastPath.transfer_slot` replaces the per-slot transfer loop with
-  a vectorised grant/ready/pending mask plus an inlined partial-drain
-  branch, and the scheduler's wavefront evaluator is swapped for
+* the scheduler's wavefront evaluator is swapped for
   :func:`~repro.sched.slarray.wavefront_batch` (bit-identical by
   construction; see its property tests).
 
@@ -66,10 +72,10 @@ import numpy as np
 from ..predict.base import NullPredictor
 from ..sched.scheduler import Scheduler
 from ..sched.slarray import wavefront_batch
-from ..types import MessageRecord
 from .engine import Event, Priority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tdm imports us)
+    from ..fabric.config import ConfigMatrix
     from ..networks.base import BaseNetwork
     from ..networks.tdm import TdmNetwork
     from ..nic.queues import DrainedMessage
@@ -102,16 +108,18 @@ def fast_from_env() -> bool:
 
 
 def fastpath_ineligible(net: "BaseNetwork") -> str | None:
-    """Why ``net``'s current run cannot use the fast path (None: it can).
+    """Why ``net``'s current run cannot arm the fast path (None: it can).
 
-    The fast path services exactly the regular core of the model: one
-    crossbar driven by a plain single-unit
+    The quiescent windows, the inert-SL-pass shortcut and the batch
+    wavefront serve exactly the regular core of the model: one crossbar
+    driven by a plain single-unit
     :class:`~repro.sched.scheduler.Scheduler` with no tracing and no fault
     campaign.  Everything else — multi-switch fabrics with their per-hop
     trunk scheduling, fault injection with its watchdog windows, multi-unit
-    or fabric-constrained schedulers, event tracing — falls back to the
-    event-driven path, which remains the single source of truth.  The
-    returned reason is always a nonempty string, fit for a CLI summary.
+    or fabric-constrained schedulers, event tracing — runs tick by tick
+    through the event-driven path (a single-crossbar run still transfers
+    through :meth:`FastPath.transfer_slot`).  The returned reason is always
+    a nonempty string, fit for a CLI summary.
     """
     if not net.topology.is_single_switch:
         return MULTI_SWITCH_FALLBACK
@@ -155,17 +163,19 @@ def _index_of_occurrence(
 
 
 class FastPath:
-    """Per-run slot-synchronous execution state for one TdmNetwork run.
+    """Per-run data-plane state for one TdmNetwork run.
 
-    Created in ``TdmNetwork._reset_scheme_state`` when the run is eligible;
-    owns the shared queue-byte matrix, the vectorised transfer, and the
-    quiescent-window machinery.  All effects are bit-identical to the
-    event-driven path, so nothing here appears in ``RunResult`` counters;
-    :meth:`stats` exposes diagnostics through a side channel instead.
+    Created in ``TdmNetwork._reset_scheme_state`` for every run; owns the
+    shared queue-byte matrix and the vectorised transfer.  Fast, eligible
+    runs (:attr:`armed`) also get the quiescent-window machinery, the
+    inert-pass shortcut and the batch wavefront.  All effects are
+    bit-identical to the tick-by-tick path, so nothing here appears in
+    ``RunResult`` counters; :meth:`stats` exposes diagnostics through a
+    side channel instead.
     """
 
     def __init__(self, net: "TdmNetwork") -> None:
-        assert net.scheduler is not None and net.crossbar is not None
+        assert net.scheduler is not None
         self.net = net
         self.sim = net.sim
         self.sched = net.scheduler
@@ -178,16 +188,19 @@ class FastPath:
             row = self.queue_bytes[nic.port]
             row[:] = nic.voqs.bytes_pending
             nic.voqs.bytes_pending = row
-        # the batch wavefront is bit-identical to the sparse walk; dense
-        # L matrices (phase starts, all-to-all) are where it pays off
-        self.sched.wavefront = wavefront_batch
-        self._path_ps = net.crossbar.path_latency_ps()
+        #: windows, the inert-pass shortcut and the batch wavefront are
+        #: armed only for fast runs the eligibility gate accepts
+        self.armed = net.fast and fastpath_ineligible(net) is None
+        if self.armed:
+            # the batch wavefront is bit-identical to the sparse walk; dense
+            # L matrices (phase starts, all-to-all) are where it pays off
+            self.sched.wavefront = wavefront_batch
         self._quiet_capable = (
-            isinstance(net.predictor, NullPredictor)
+            self.armed
+            and isinstance(net.predictor, NullPredictor)
             and net.prefetcher is None
             and net.boost_policy is None
         )
-        self._null_predictor = isinstance(net.predictor, NullPredictor)
         # diagnostics (side channel only — never RunResult counters)
         self.windows_opened = 0
         self.quiet_slot_ticks = 0
@@ -211,16 +224,42 @@ class FastPath:
 
     # -- the provably-empty SL pass -------------------------------------------
 
+    def _inert_blocked(self, slots: list[int]) -> int | None:
+        """Cells a pass over any of ``slots`` blocks, or None if it toggles.
+
+        Inertness is decided by the same Table-1 terms ``compute_l``
+        evaluates.  The release term ``B(s) & ~(R|latched)`` must be empty
+        in every slot.  Establish candidates ``(R|latched) & ~B*``
+        (slot-independent since ``B(s) <= B*``) are tolerated only if each
+        lacks a free input AND output in every slot: signals only move on
+        toggles, so entry occupancy decides alone, and each inert pass
+        counts exactly the candidates as blocked.
+        """
+        sched = self.sched
+        regs = sched.registers
+        r = sched.r_view
+        eff_r = (r | sched.latched) if sched.latched.any() else r
+        cfgs = [regs.slots[s] for s in slots]
+        for cfg in cfgs:
+            if len(cfg) and bool(np.any(cfg.b & ~eff_r)):
+                return None
+        est = eff_r & ~regs.b_star
+        if not est.any():
+            return 0
+        for cfg in cfgs:
+            free = ~cfg.input_busy()[:, None] & ~cfg.output_busy()[None, :]
+            if bool(np.any(est & free)):
+                return None
+        return int(np.count_nonzero(est))
+
     def handle_sl_tick(self) -> bool:
         """Run one SL tick whose pass is provably a no-op; False: run it.
 
         Outside quiescent windows most SL passes find an empty
         pre-scheduling matrix and change nothing but the cursor, the
-        rotation, and the pass counters.  Emptiness is decided by the same
-        Table-1 terms ``compute_l`` evaluates — establish
-        ``(R|latched) & ~B*`` (slot-independent since ``B(s) <= B*``) and
-        release ``B(s) & ~(R|latched)`` for the slot this pass would
-        schedule — so the replicated effects are exact, not approximate.
+        rotation, and the pass counters.  Emptiness is decided for the
+        slot this pass would schedule (:meth:`_inert_blocked`), so the
+        replicated effects are exact, not approximate.
         """
         if not self._quiet_capable:
             return False
@@ -232,21 +271,9 @@ class FastPath:
         if not dynamic:
             sched.counters.inc("passes_idle")
         else:
-            r = sched.r_view
-            eff_r = (r | sched.latched) if sched.latched.any() else r
-            cfg = regs.slots[dynamic[sched._sl_cursor % len(dynamic)]]
-            if len(cfg) and bool(np.any(cfg.b & ~eff_r)):
-                return False  # a release would toggle: run the real pass
-            est = eff_r & ~regs.b_star
-            blocked = 0
-            if est.any():
-                # establish candidates exist; the pass is still a no-op iff
-                # each lacks a free input AND output in this slot (signals
-                # only move on toggles, so entry occupancy decides alone)
-                free = ~cfg.input_busy()[:, None] & ~cfg.output_busy()[None, :]
-                if bool(np.any(est & free)):
-                    return False
-                blocked = int(np.count_nonzero(est))
+            blocked = self._inert_blocked([dynamic[sched._sl_cursor % len(dynamic)]])
+            if blocked is None:
+                return False  # the pass would toggle: run the real one
             sched._sl_cursor += 1
             sched.rotation.next_rotation()
             sched.counters.inc("passes")
@@ -312,38 +339,18 @@ class FastPath:
             self.window_denials += 1
             return
 
-        # scheduler inertness: every in-window pass must toggle nothing.
-        # The release term of Table 1 must be empty for each dynamic slot;
-        # establish candidates (slot-independent, since B(s) <= B*) are
-        # tolerated only if every one is port-blocked in every dynamic
-        # slot — grant signals move on toggles alone, so entry occupancy
-        # decides, and each pass then counts exactly |E| blocked cells.
-        r = sched.r_view
-        eff_r = (r | sched.latched) if sched.latched.any() else r
+        # scheduler inertness: every in-window pass, whichever dynamic slot
+        # it schedules, must toggle nothing
         regs = sched.registers
         dynamic = regs.dynamic_slots()
-        est_count = 0
-        if dynamic:
-            est = eff_r & ~regs.b_star
-            has_est = bool(est.any())
-            for s in dynamic:
-                cfg = regs.slots[s]
-                if len(cfg) and bool(np.any(cfg.b & ~eff_r)):
-                    self.window_denials += 1
-                    return
-                if has_est:
-                    free = (
-                        ~cfg.input_busy()[:, None] & ~cfg.output_busy()[None, :]
-                    )
-                    if bool(np.any(est & free)):
-                        self.window_denials += 1
-                        return
-            if has_est:
-                est_count = int(np.count_nonzero(est))
+        est_count = self._inert_blocked(dynamic) if dynamic else 0
+        if est_count is None:
+            self.window_denials += 1
+            return
 
         # the frozen TDM counter's slot sequence: a transient tail that
         # leads into a cycle (both of length <= k)
-        pending = r if net.skip_idle_slots else None
+        pending = sched.r_view if net.skip_idle_slots else None
         useful = []
         for s in range(regs.k):
             cfg = regs.slots[s]
@@ -556,81 +563,49 @@ class FastPath:
                 return len(tail) + full * len(cycle) + j
         return None  # pragma: no cover - need <= per_cycle by construction
 
-    # -- the vectorised per-slot transfer -------------------------------------
+    # -- the per-slot transfer ------------------------------------------------
 
-    def transfer_slot(self, slot: int, t: int) -> None:
-        """Byte-identical replacement for ``TdmNetwork._transfer_slot``.
+    def transfer_slot(
+        self,
+        cfg: "ConfigMatrix",
+        t: int,
+        conn_ready: np.ndarray,
+        link_down: np.ndarray | None,
+    ) -> list[tuple[int, int, int, list["DrainedMessage"]]]:
+        """Move up to one slot's bytes over every connection of ``cfg``.
 
-        Only reached when tracing is off and no faults are active (the
-        eligibility gate), so those branches of the original are dead here;
-        the grant/ready/pending skip cascade is evaluated as one vector
-        mask and the common mid-message slot — a pure partial drain — is
-        inlined without touching the deque.
+        One mask selects the connections whose grant has reached the NIC
+        (``conn_ready <= t``) and whose queue holds bytes, plus, when
+        ``link_down`` is given, whose two endpoint links are up.  Each
+        selected connection is drained; the common mid-message slot — a
+        pure partial drain — is inlined without touching the deque.
+        Returns ``(u, v, moved, done)`` for every connection that moved
+        bytes, in input-port order, for the network to react to.
         """
-        net = self.net
-        params = net.params
-        cfg = self.sched.registers.slots[slot]
         rtc = cfg.row_to_col
         us = np.nonzero(rtc >= 0)[0]
-        net._slot_opportunities += len(us)
-        conn_ready = net._conn_ready
-        assert conn_ready is not None
         vs = rtc[us]
         act = (conn_ready[us, vs] <= t) & (self.queue_bytes[us, vs] > 0)
+        if link_down is not None:
+            act &= ~(link_down[us] | link_down[vs])
+        moves: list[tuple[int, int, int, list[DrainedMessage]]] = []
         if not act.any():
-            return
+            return moves
+        params = self.net.params
         slot_bytes = params.slot_bytes
         byte_ps = params.byte_ps
-        batch = net._batch_conns
-        sim = self.sim
+        nics = self.net.nics
         for u, v in zip(us[act].tolist(), vs[act].tolist()):
-            voqs = net.nics[u].voqs
+            voqs = nics[u].voqs
             head = voqs._queues[v][0]
-            done: list[DrainedMessage]
             if head.inject_ps <= t and head.remaining > slot_bytes:
                 if head.remaining == head.size and id(head) not in voqs._starts:
                     voqs._starts[id(head)] = t
                 head.remaining -= slot_bytes
                 voqs.bytes_pending[v] -= slot_bytes
-                moved = slot_bytes
-                done = []
+                moves.append((u, v, slot_bytes, []))
             else:
                 moved, done = voqs.drain(v, slot_bytes, t, byte_ps)
-                if moved == 0:
-                    continue  # the head is not yet injected
-            net._slot_transfers += 1
-            net.ledger.send(u, v, moved)
-            if not self._null_predictor:
-                net.predictor.on_use(u, v, t)
-            if (u, v) in batch:
-                net._batch_remaining -= moved
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + self._path_ps,
-                    seq=dm.message.seq,
-                )
-                sim.schedule_at(
-                    record.done_ps, net._deliver, record, priority=Priority.NIC
-                )
-                if net.prefetcher is not None:
-                    net.prefetcher.observe(u, v, t)
-                    conn = net.prefetcher.prefetch(u, v, t)
-                    if conn is not None:
-                        self.sched.latched[conn.src, conn.dst] = True
-                if net.injection_window is not None:
-                    net._feed_nic(u)
-            if voqs.bytes_pending[v] == 0:
-                hold = net.predictor.on_empty(u, v, t)
-                sim.schedule(
-                    params.request_wire_ps,
-                    net._request_drop,
-                    u,
-                    v,
-                    hold,
-                    priority=Priority.WIRE,
-                )
+                if moved:  # zero: the head is not yet injected
+                    moves.append((u, v, moved, done))
+        return moves

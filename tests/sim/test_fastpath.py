@@ -1,10 +1,11 @@
 """Byte-identity and fallback tests for the slot-synchronous fast path.
 
-The contract under test: with ``fast=True`` a run either (a) produces a
+The contract under test: with ``fast=True`` a run produces a
 ``RunResult`` byte-identical to the event-driven path — makespan, every
 message record, phase accounting, counters (including the executed-event
-count), drops — or (b) falls back to the event path entirely when the run
-is irregular (faults, tracing, exotic schedulers).
+count), drops.  An irregular run (faults, tracing, exotic schedulers)
+never opens a window: it runs tick by tick, transferring through the same
+vectorised per-slot transfer as every other run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.networks.tdm import TdmNetwork
 from repro.params import PAPER_PARAMS
 from repro.predict import TimeoutPredictor
 from repro.sched.priority import RoundRobinPriority
+from repro.sched.slarray import wavefront_batch, wavefront_sparse
 from repro.sim.fastpath import FAST_ENV_VAR, fast_from_env, fastpath_ineligible
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
@@ -45,6 +47,11 @@ def fingerprint(result):
         "drops": [(d.src, d.dst, d.seq) for d in result.drops],
         "recovery_ps": result.recovery_ps,
     }
+
+
+def assert_windows_never_open(net):
+    """No window opened or was even attempted, and no SL pass was elided."""
+    assert not any(net._fastpath.stats().values())
 
 
 def run_both(make_net, pattern, seed=3):
@@ -142,7 +149,7 @@ class TestByteIdentity:
         assert fingerprint(rs) == fingerprint(rf)
 
     def test_fault_campaign_falls_back_and_stays_identical(self):
-        """With faults active both modes run the event path; fast=True must
+        """With faults active both modes run tick by tick; fast=True must
         be a no-op rather than an error."""
         schedule = FaultSchedule(
             events=(FaultEvent(time_ps=ns(500), kind=FaultKind.LINK_FAIL, port=2),)
@@ -152,7 +159,7 @@ class TestByteIdentity:
             lambda f: TdmNetwork(P8, k=4, faults=FaultInjector(schedule), fast=f),
             pattern,
         )
-        assert fast._fastpath is None
+        assert_windows_never_open(fast)
         assert fingerprint(rs) == fingerprint(rf)
 
 
@@ -228,13 +235,23 @@ class TestEligibility:
         net = TdmNetwork(P8, k=4, fast=True)
         net.run(ScatterPattern(8, size_bytes=256).phases(RngStreams(1)))
         assert fastpath_ineligible(net) is None
-        assert net._fastpath is not None
+        assert net._fastpath.armed
+        assert net.scheduler.wavefront is wavefront_batch
+
+    def test_event_mode_keeps_sparse_wavefront(self):
+        """Without fast=True nothing is armed; the transfer is still the
+        vectorised one every run uses."""
+        net = TdmNetwork(P8, k=4, fast=False)
+        net.run(ScatterPattern(8, size_bytes=256).phases(RngStreams(1)))
+        assert not net._fastpath.armed
+        assert net.scheduler.wavefront is wavefront_sparse
+        assert_windows_never_open(net)
 
     def test_tracer_ineligible(self):
         net = TdmNetwork(P8, k=4, tracer=Tracer(enabled=True), fast=True)
         assert fastpath_ineligible(net) is not None
         net.run(ScatterPattern(8, size_bytes=256).phases(RngStreams(1)))
-        assert net._fastpath is None
+        assert_windows_never_open(net)
 
     def test_faults_ineligible(self):
         schedule = FaultSchedule(
@@ -246,12 +263,12 @@ class TestEligibility:
     def test_multi_unit_scheduler_ineligible(self):
         net = TdmNetwork(P8, k=4, n_sl_units=2, fast=True)
         net.run(ScatterPattern(8, size_bytes=256).phases(RngStreams(1)))
-        assert net._fastpath is None
+        assert_windows_never_open(net)
 
     def test_constrained_scheduler_ineligible(self):
         net = TdmNetwork(P8, k=4, fabric_constraint=FatTree(8), fast=True)
         net.run(ScatterPattern(8, size_bytes=256).phases(RngStreams(1)))
-        assert net._fastpath is None
+        assert_windows_never_open(net)
 
     def test_fast_from_env(self, monkeypatch):
         monkeypatch.delenv(FAST_ENV_VAR, raising=False)
