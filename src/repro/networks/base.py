@@ -159,6 +159,9 @@ class BaseNetwork(ABC):
         # per-run state, created in run()
         self.sim: Simulator = Simulator()
         self.nics: list[Nic] = []
+        #: every NIC's pending-byte vector as one row of an ``(n, n)``
+        #: matrix, the shared view of all VOQs the data plane reads
+        self.queue_bytes = np.zeros((params.n_ports, params.n_ports), dtype=np.int64)
         self.ledger: FlowLedger = FlowLedger(params.n_ports)
         self.records: list[MessageRecord] = []
         self.drops: list[DropRecord] = []
@@ -178,6 +181,10 @@ class BaseNetwork(ABC):
         self.sim = Simulator()
         clock = lambda: self.sim.now  # noqa: E731 - rebinds to the fresh sim
         self.nics = [Nic(self.params, p, self.tracer, clock) for p in range(n)]
+        self.queue_bytes = np.zeros((n, n), dtype=np.int64)
+        for nic in self.nics:
+            # a row *view*: every VOQ mutation lands in the matrix directly
+            nic.voqs.bytes_pending = self.queue_bytes[nic.port]
         self.ledger = FlowLedger(n)
         self.records = []
         self.drops = []
@@ -443,12 +450,11 @@ class BaseNetwork(ABC):
         """
         inj = self.fault_injector
         assert inj is not None
-        pending = self.nics[port].voqs.bytes_pending
-        for v in np.nonzero(pending > 0)[0].tolist():
+        for v in np.nonzero(self.queue_bytes[port] > 0)[0].tolist():
             inj.note_disrupted(port, v)
-        for nic in self.nics:
-            if nic.port != port and nic.voqs.bytes_pending[port] > 0:
-                inj.note_disrupted(nic.port, port)
+        for u in np.nonzero(self.queue_bytes[:, port] > 0)[0].tolist():
+            if u != port:
+                inj.note_disrupted(u, port)
 
     def _on_link_up(self, port: int) -> None:
         """React to a transient outage ending (override per scheme)."""

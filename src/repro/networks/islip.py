@@ -21,6 +21,13 @@ which point one iteration finds a full match every slot — the classic
 iterations only fill holes left by conflicts and never move pointers, so
 the desynchronised fixed point is stable.
 
+Both round-robin picks are argmins over a *rotated distance*: "the first
+requester at or after ``g[v]``" is the requester ``u`` with the smallest
+``(u - g[v]) % n``, and likewise ``(v - a[u]) % n`` for accepts.  So one
+iteration is two masked argmins over the request mask ``queue_bytes > 0``
+— per column for the grants, per row for the accepts — with no per-port loop;
+matches are listed in ascending input order.
+
 The network reuses the paper's physical constants — slot length, per-slot
 payload, pipe latency — so a bake-off row differs from ``dynamic-tdm``
 only in the scheduling discipline, never in the plant.  Unlike the TDM
@@ -113,42 +120,39 @@ class IslipNetwork(BaseNetwork):
 
     # -- the matcher --------------------------------------------------------------
 
-    @staticmethod
-    def _rr_pick(candidates: np.ndarray, pointer: int) -> int:
-        """First index in ``candidates`` at or (cyclically) after ``pointer``."""
-        at_or_after = candidates[candidates >= pointer]
-        return int(at_or_after[0]) if len(at_or_after) else int(candidates[0])
-
     def _match(self, requests: np.ndarray) -> list[tuple[int, int]]:
-        """Run ``iterations`` grant/accept rounds; returns the matching."""
+        """Run ``iterations`` grant/accept rounds over the request mask.
+
+        Returns the matching, input-ascending within each iteration.
+        """
         n = self.params.n_ports
-        in_free = np.ones(n, dtype=bool)
-        out_free = np.ones(n, dtype=bool)
+        ports = np.arange(n)
+        grant_ptr = self._grant_ptr
+        accept_ptr = self._accept_ptr
+        live = requests.copy()
         matching: list[tuple[int, int]] = []
         for it in range(self.iterations):
-            # grant: each free output picks round-robin among free requesters
-            grants: dict[int, list[int]] = {}  # input -> granting outputs
-            for v in np.nonzero(out_free)[0]:
-                col = requests[:, v] & in_free
-                if not col.any():
-                    continue
-                u = self._rr_pick(np.nonzero(col)[0], int(self._grant_ptr[v]))
-                grants.setdefault(u, []).append(int(v))
-            if not grants:
+            outs = np.nonzero(live.any(axis=0))[0]
+            if not len(outs):
                 break
-            # accept: each granted input picks round-robin among its grants
-            for u, outs in sorted(grants.items()):
-                v = self._rr_pick(
-                    np.asarray(outs, dtype=np.int64), int(self._accept_ptr[u])
-                )
-                in_free[u] = False
-                out_free[v] = False
-                matching.append((u, v))
-                if it == 0:
-                    # pointers move only on first-iteration accepts — the
-                    # rule that makes the round-robins desynchronise
-                    self._grant_ptr[v] = (u + 1) % n
-                    self._accept_ptr[u] = (v + 1) % n
+            # grant: each output picks the requester nearest at or after
+            # its pointer, i.e. the least rotated distance (u - g[v]) % n
+            dist = np.where(live, (ports[:, None] - grant_ptr) % n, n)
+            grants = np.zeros((n, n), dtype=bool)
+            grants[dist.argmin(axis=0)[outs], outs] = True
+            # accept: each granted input picks the granting output nearest
+            # at or after its pointer, (v - a[u]) % n
+            ins = np.nonzero(grants.any(axis=1))[0]
+            dist = np.where(grants, (ports - accept_ptr[:, None]) % n, n)
+            accepted = dist.argmin(axis=1)[ins]
+            matching.extend(zip(ins.tolist(), accepted.tolist()))
+            live[ins, :] = False
+            live[:, accepted] = False
+            if it == 0:
+                # pointers move only on first-iteration accepts — the
+                # rule that makes the round-robins desynchronise
+                grant_ptr[accepted] = (ins + 1) % n
+                accept_ptr[ins] = (accepted + 1) % n
         return matching
 
     # -- the slot loop ------------------------------------------------------------
@@ -159,7 +163,7 @@ class IslipNetwork(BaseNetwork):
         t = self.sim.now
         params = self.params
         self.islip_slots += 1
-        requests = np.stack([nic.voqs.bytes_pending for nic in self.nics]) > 0
+        requests = self.queue_bytes > 0
         matching = self._match(requests) if requests.any() else []
         self.slot_match_counts.append(len(matching))
         self.islip_matches += len(matching)

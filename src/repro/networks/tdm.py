@@ -552,8 +552,7 @@ class TdmNetwork(BaseNetwork):
         """Full refresh of the scheduler's request view (phase injection)."""
         sched = self.scheduler
         assert sched is not None
-        for nic in self.nics:
-            sched.r_view[nic.port, :] = nic.voqs.request_vector()
+        sched.r_view[:] = self.queue_bytes > 0
         if self._faults_active:
             # blanket watchdog coverage: every pending connection gets a
             # NIC-side timeout so no fault can stall the phase unnoticed
@@ -680,8 +679,8 @@ class TdmNetwork(BaseNetwork):
                 if not sched.r_view[conn.src, conn.dst]:
                     sched.latched[conn.src, conn.dst] = False
         if self.boost_policy is not None:
-            self.boost_policy.update(fp.queue_bytes)
-            self.boost_policy.release_excess(fp.queue_bytes)
+            self.boost_policy.update(self.queue_bytes)
+            self.boost_policy.release_excess(self.queue_bytes)
         if isinstance(sched, MultiUnitScheduler):
             passes = sched.sl_tick()
         else:

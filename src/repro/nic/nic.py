@@ -36,7 +36,6 @@ class Nic:
         "voqs",
         "bytes_received",
         "records",
-        "last_request",
         "tracer",
         "clock",
     )
@@ -54,8 +53,6 @@ class Nic:
         self.bytes_received = 0
         #: completed deliveries *into* this NIC
         self.records: list[MessageRecord] = []
-        #: last request vector communicated to the scheduler (for edge detection)
-        self.last_request = np.zeros(params.n_ports, dtype=bool)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: simulation-time source for instrumentation timestamps
         self.clock = clock if clock is not None else (lambda: 0)
@@ -75,18 +72,6 @@ class Nic:
     def request_vector(self) -> np.ndarray:
         return self.voqs.request_vector()
 
-    def request_changes(self) -> list[tuple[int, bool]]:
-        """Destinations whose request bit flipped since the last sample.
-
-        The network model calls this to generate request-wire update events
-        (each flip travels to the scheduler with the request-wire delay).
-        """
-        current = self.request_vector()
-        flips = np.nonzero(current != self.last_request)[0]
-        changes = [(int(v), bool(current[v])) for v in flips]
-        self.last_request = current
-        return changes
-
     def receive(self, record: MessageRecord) -> None:
         """Account a completed delivery (last byte arrived)."""
         self.bytes_received += record.size
@@ -95,8 +80,3 @@ class Nic:
             self.tracer.record(
                 record.done_ps, "nic-rx", port=self.port, src=record.src, bytes=record.size
             )
-
-    @property
-    def idle(self) -> bool:
-        """True when nothing is queued for transmission."""
-        return self.voqs.is_empty

@@ -92,6 +92,16 @@ class VirtualOutputQueues:
         if max_bytes < 0:
             raise ConfigurationError("cannot drain a negative byte budget")
         q = self._queues[dst]
+        if max_bytes and q:
+            # the common mid-message slot: an injected head outlasts the
+            # whole budget, so nothing completes and the deque stays put
+            msg = q[0]
+            if msg.inject_ps <= start_ps and msg.remaining > max_bytes:
+                if msg.remaining == msg.size and id(msg) not in self._starts:
+                    self._starts[id(msg)] = start_ps
+                msg.remaining -= max_bytes
+                self.bytes_pending[dst] -= max_bytes
+                return max_bytes, []
         moved = 0
         done: list[DrainedMessage] = []
         while q and moved < max_bytes:

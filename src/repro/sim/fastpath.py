@@ -4,10 +4,13 @@ Every :class:`~repro.networks.tdm.TdmNetwork` run owns one
 :class:`FastPath`.  Its :meth:`FastPath.transfer_slot` is the network's
 only per-slot transfer, in every mode (event, ``--fast``, traced,
 faulted): the grant/ready/pending/link-up selection is one vector mask
-over a shared ``(n, n)`` queue-byte matrix, and the common mid-message
-slot — a pure partial drain — is inlined without touching the deque.
-The network applies its reactions (ledger, predictor, deliveries, trace
-records, ...) to what the transfer reports.
+over the network's ``(n, n)`` queue-byte matrix
+(:attr:`~repro.networks.base.BaseNetwork.queue_bytes`), and every
+selected connection is drained by
+:meth:`~repro.nic.queues.VirtualOutputQueues.drain`, whose first branch
+is the common mid-message slot.  The network applies its reactions
+(ledger, predictor, deliveries, trace records, ...) to what the transfer
+reports.
 
 The rest of this module exploits the regularity of the two periodic
 events — the TDM slot tick and the SL scheduler tick — whose work is, for
@@ -166,7 +169,8 @@ class FastPath:
     """Per-run data-plane state for one TdmNetwork run.
 
     Created in ``TdmNetwork._reset_scheme_state`` for every run; owns the
-    shared queue-byte matrix and the vectorised transfer.  Fast, eligible
+    vectorised transfer, which reads the network's queue-byte matrix and
+    drains through the VOQs' own ``drain``.  Fast, eligible
     runs (:attr:`armed`) also get the quiescent-window machinery, the
     inert-pass shortcut and the batch wavefront.  All effects are
     bit-identical to the tick-by-tick path, so nothing here appears in
@@ -179,15 +183,6 @@ class FastPath:
         self.net = net
         self.sim = net.sim
         self.sched = net.scheduler
-        n = net.params.n_ports
-        #: all NICs' pending-byte vectors as rows of one matrix, so the
-        #: per-slot transfer can gather pending state with one fancy index.
-        #: The rows are *views*: every VOQ mutation lands here directly.
-        self.queue_bytes = np.zeros((n, n), dtype=np.int64)
-        for nic in net.nics:
-            row = self.queue_bytes[nic.port]
-            row[:] = nic.voqs.bytes_pending
-            nic.voqs.bytes_pending = row
         #: windows, the inert-pass shortcut and the batch wavefront are
         #: armed only for fast runs the eligibility gate accepts
         self.armed = net.fast and fastpath_ineligible(net) is None
@@ -391,7 +386,7 @@ class FastPath:
         # (grant or head injection still in flight) vetoes the window
         conn_ready = net._conn_ready
         assert conn_ready is not None
-        qb = self.queue_bytes
+        qb = net.queue_bytes
         slot_bytes = net.params.slot_bytes
         slot_opps: dict[int, int] = {}
         slot_moves: dict[int, int] = {}
@@ -431,7 +426,7 @@ class FastPath:
         tau = len(tail)
         p = len(cycle)
         break_idx: int | None = None
-        served: list[tuple[int, int, "Message", list[int], int]] = []
+        served: list[tuple[int, int, list[int], int]] = []
         for (u, v), slots_of in sorted(conn_slots.items()):
             positions = [i for i, s in enumerate(tail) if s in slots_of]
             w0 = len(positions)
@@ -442,7 +437,7 @@ class FastPath:
             idx = _index_of_occurrence(positions, k_done, tau, p, w)
             if idx is not None and (break_idx is None or idx < break_idx):
                 break_idx = idx
-            served.append((u, v, head, positions, w))
+            served.append((u, v, positions, w))
 
         # second break: the tick the current preload batch drains to zero
         # (that tick must run normally — it schedules the next batch load)
@@ -497,17 +492,15 @@ class FastPath:
             # slot; only the last load is observable
             crossbar.reconfigurations += m
             crossbar.active.load(regs.slots[last])
-            for u, v, head, positions, w in served:
+            byte_ps = net.params.byte_ps
+            for u, v, positions, w in served:
                 occ = _count_before(positions, m, tau, p, w)
                 if occ == 0:
                     continue
-                voqs = net.nics[u].voqs
-                if head.remaining == head.size and id(head) not in voqs._starts:
-                    voqs._starts[id(head)] = t + (positions[0] + 1) * slot_ps
-                moved = occ * slot_bytes
-                head.remaining -= moved
-                voqs.bytes_pending[v] -= moved
-                assert head.remaining > 0, "window overran a message completion"
+                moved, done = net.nics[u].voqs.drain(
+                    v, occ * slot_bytes, t + (positions[0] + 1) * slot_ps, byte_ps
+                )
+                assert not done, "window overran a message completion"
                 net.ledger.send(u, v, moved)
                 if (u, v) in net._batch_conns:
                     net._batch_remaining -= moved
@@ -577,15 +570,14 @@ class FastPath:
         One mask selects the connections whose grant has reached the NIC
         (``conn_ready <= t``) and whose queue holds bytes, plus, when
         ``link_down`` is given, whose two endpoint links are up.  Each
-        selected connection is drained; the common mid-message slot — a
-        pure partial drain — is inlined without touching the deque.
-        Returns ``(u, v, moved, done)`` for every connection that moved
-        bytes, in input-port order, for the network to react to.
+        selected connection is drained by its VOQ's ``drain``.  Returns
+        ``(u, v, moved, done)`` for every connection that moved bytes, in
+        input-port order, for the network to react to.
         """
         rtc = cfg.row_to_col
         us = np.nonzero(rtc >= 0)[0]
         vs = rtc[us]
-        act = (conn_ready[us, vs] <= t) & (self.queue_bytes[us, vs] > 0)
+        act = (conn_ready[us, vs] <= t) & (self.net.queue_bytes[us, vs] > 0)
         if link_down is not None:
             act &= ~(link_down[us] | link_down[vs])
         moves: list[tuple[int, int, int, list[DrainedMessage]]] = []
@@ -596,16 +588,7 @@ class FastPath:
         byte_ps = params.byte_ps
         nics = self.net.nics
         for u, v in zip(us[act].tolist(), vs[act].tolist()):
-            voqs = nics[u].voqs
-            head = voqs._queues[v][0]
-            if head.inject_ps <= t and head.remaining > slot_bytes:
-                if head.remaining == head.size and id(head) not in voqs._starts:
-                    voqs._starts[id(head)] = t
-                head.remaining -= slot_bytes
-                voqs.bytes_pending[v] -= slot_bytes
-                moves.append((u, v, slot_bytes, []))
-            else:
-                moved, done = voqs.drain(v, slot_bytes, t, byte_ps)
-                if moved:  # zero: the head is not yet injected
-                    moves.append((u, v, moved, done))
+            moved, done = nics[u].voqs.drain(v, slot_bytes, t, byte_ps)
+            if moved:  # zero: the head is not yet injected
+                moves.append((u, v, moved, done))
         return moves
