@@ -9,8 +9,8 @@ edge is asked to carry more connections than its **capacity** (the number
 of parallel links at that level — the "fatness").
 
 :class:`FatTree` models a binary fat-tree over ``N = 2^m`` leaves.  The
-edge above a subtree of size ``s`` has capacity ``ceil(s / taper)``:
-``taper=1`` is the classic full-bisection fat-tree (every permutation
+edge above a subtree of size ``s = 2**level`` has capacity
+``max(1, s // taper)`` (:meth:`FatTree.edge_capacity`): ``taper=1`` is the classic full-bisection fat-tree (every permutation
 realisable), larger tapers thin the upper levels the way cost-reduced
 installations do.  The class provides the realisability predicate the
 pre-scheduling logic would use, the per-edge load analysis, a lower bound

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..sim.clock import ns
-from ..sim.engine import Event, Priority
+from ..sim.engine import Priority
 from ..sim.stats import Counter
 from ..types import Connection
 from .model import FaultEvent, FaultKind
@@ -60,7 +60,6 @@ class FaultInjector:
         self.recovery_ps: list[int] = []
         self._network: BaseNetwork | None = None
         self._cursor = 0
-        self._armed: Event | None = None
         self._awaiting: dict[Connection, int] = {}
 
     @property
@@ -83,7 +82,6 @@ class FaultInjector:
         """
         self._network = network
         self._cursor = 0
-        self._armed = None
         self._awaiting = {}
         self.counters = Counter()
         self.recovery_ps = []
@@ -97,12 +95,9 @@ class FaultInjector:
             ev = self.schedule.events[self._cursor]
             self._cursor += 1
             if ev.time_ps >= net.sim.now:
-                self._armed = net.sim.schedule_at(
-                    ev.time_ps, self._fire, ev, priority=Priority.FABRIC
-                )
+                net.sim.schedule_at(ev.time_ps, self._fire, ev, priority=Priority.FABRIC)
                 return
             self.counters.inc("faults_missed")  # before current sim time
-        self._armed = None
 
     # -- firing ------------------------------------------------------------------
 

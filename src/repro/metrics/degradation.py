@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..networks.base import RunResult
-from ..sim.stats import Histogram
+from ..sim.stats import percentile_ps
 
 __all__ = ["DegradationReport", "degradation_report"]
 
@@ -54,19 +54,18 @@ class DegradationReport:
         )
 
 
-def degradation_report(result: RunResult, bin_ns: float = 50.0) -> DegradationReport:
+def degradation_report(result: RunResult) -> DegradationReport:
     """Digest a (possibly faulted) run into its degradation metrics.
 
     Works on healthy runs too: no drops, no recoveries, and the effective
-    bandwidth equals the plain throughput.
+    bandwidth equals the plain throughput.  Recovery p50 and p99 are exact
+    nearest-rank percentiles over integer picoseconds.
     """
     seqs = Counter(r.seq for r in result.records)
     seqs.update(d.seq for d in result.drops)
     duplicated = sum(n - 1 for n in seqs.values() if n > 1)
 
-    rec = Histogram(bin_width=bin_ns * 1000.0, n_bins=4096)
-    for r_ps in result.recovery_ps:
-        rec.add(float(r_ps))
+    rec = sorted(result.recovery_ps)
 
     makespan = result.makespan_ps
     bw = result.delivered_bytes * 1000.0 / makespan if makespan else 0.0
@@ -83,9 +82,9 @@ def degradation_report(result: RunResult, bin_ns: float = 50.0) -> DegradationRe
         delivered_fraction=result.delivered_fraction,
         duplicated=duplicated,
         effective_bw_bytes_per_ns=bw,
-        recoveries=rec.count,
-        recovery_mean_ns=rec.mean / 1000.0 if rec.count else 0.0,
-        recovery_p50_ns=rec.quantile(0.5) / 1000.0 if rec.count else 0.0,
-        recovery_p99_ns=rec.quantile(0.99) / 1000.0 if rec.count else 0.0,
-        recovery_max_ns=rec._stats.maximum / 1000.0 if rec.count else 0.0,
+        recoveries=len(rec),
+        recovery_mean_ns=result.recovery_stats().mean / 1000.0,
+        recovery_p50_ns=percentile_ps(rec, 50) / 1000.0 if rec else 0.0,
+        recovery_p99_ns=percentile_ps(rec, 99) / 1000.0 if rec else 0.0,
+        recovery_max_ns=rec[-1] / 1000.0 if rec else 0.0,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..networks.base import RunResult
-from ..sim.stats import Histogram, OnlineStats
+from ..sim.stats import OnlineStats, percentile_ps
 
 __all__ = ["LatencySummary", "summarize_latencies"]
 
@@ -28,20 +28,23 @@ class LatencySummary:
         )
 
 
-def summarize_latencies(result: RunResult, bin_ns: float = 50.0) -> LatencySummary:
-    """Digest the delivery records of one run."""
-    lat = Histogram(bin_width=bin_ns * 1000.0, n_bins=4096)
+def summarize_latencies(result: RunResult) -> LatencySummary:
+    """Digest the delivery records of one run.
+
+    p50 and p99 are exact nearest-rank percentiles over integer
+    picoseconds (:func:`~repro.sim.stats.percentile_ps`).
+    """
+    if not result.records:
+        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    ordered = sorted(r.latency_ps for r in result.records)
     service = OnlineStats()
     for r in result.records:
-        lat.add(float(r.latency_ps))
         service.add(float(r.service_ps))
-    if lat.count == 0:
-        return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return LatencySummary(
-        count=lat.count,
-        mean_ns=lat.mean / 1000.0,
-        p50_ns=lat.quantile(0.5) / 1000.0,
-        p99_ns=lat.quantile(0.99) / 1000.0,
-        max_ns=lat._stats.maximum / 1000.0,
+        count=len(ordered),
+        mean_ns=result.latency_stats().mean / 1000.0,
+        p50_ns=percentile_ps(ordered, 50) / 1000.0,
+        p99_ns=percentile_ps(ordered, 99) / 1000.0,
+        max_ns=ordered[-1] / 1000.0,
         mean_service_ns=service.mean / 1000.0,
     )

@@ -34,6 +34,7 @@ from ..errors import SimulationError
 from ..faults.injector import FaultInjector
 from ..nic.flow import FlowLedger
 from ..nic.nic import Nic
+from ..nic.queues import DrainedMessage
 from ..params import SystemParams
 from ..sim.engine import Priority, Simulator
 from ..sim.stats import OnlineStats
@@ -125,6 +126,9 @@ class BaseNetwork(ABC):
 
     #: scheme label used in reports ("wormhole", "circuit", "tdm-dynamic", ...)
     scheme: str = "abstract"
+    #: stop the event loop once the phase's last message is delivered,
+    #: rather than letting periodic clocks tick on
+    stop_when_drained = True
 
     def __init__(
         self,
@@ -275,6 +279,54 @@ class BaseNetwork(ABC):
         """One excursion of the event loop with the standard safety valves."""
         self.sim.run(max_events=MAX_EVENTS_PER_PHASE, max_wall_s=self.max_wall_s)
 
+    def _drain_slot(
+        self,
+        us: np.ndarray,
+        vs: np.ndarray,
+        t: int,
+        ready: np.ndarray | None = None,
+        link_down: np.ndarray | None = None,
+    ) -> list[tuple[int, int, int, list[DrainedMessage]]]:
+        """Move up to one slot's bytes over each connection ``(us[i], vs[i])``.
+
+        The select-and-drain of every slotted scheme.  One mask keeps the
+        connections with queued bytes, an arrived grant (``ready <= t``,
+        if given) and both endpoint links up (if ``link_down`` is given);
+        they are drained in the order given and posted to the ledger.
+        Returns ``(u, v, moved, done)`` per connection that moved bytes.
+        """
+        act = self.queue_bytes[us, vs] > 0
+        if ready is not None:
+            act &= ready[us, vs] <= t
+        if link_down is not None:
+            act &= ~(link_down[us] | link_down[vs])
+        moves: list[tuple[int, int, int, list[DrainedMessage]]] = []
+        if not act.any():
+            return moves
+        slot_bytes = self.params.slot_bytes
+        byte_ps = self.params.byte_ps
+        nics = self.nics
+        for u, v in zip(us[act].tolist(), vs[act].tolist()):
+            moved, done = nics[u].voqs.drain(v, slot_bytes, t, byte_ps)
+            if moved:  # zero: the head is not yet injected
+                self.ledger.send(u, v, moved)
+                moves.append((u, v, moved, done))
+        return moves
+
+    def _schedule_delivery(self, dm: DrainedMessage, fill_ps: int) -> None:
+        """Deliver a drained message once its last byte crossed the pipe."""
+        msg = dm.message
+        record = MessageRecord(
+            src=msg.src,
+            dst=msg.dst,
+            size=msg.size,
+            inject_ps=msg.inject_ps,
+            start_ps=dm.start_ps,
+            done_ps=dm.finish_ps + fill_ps,
+            seq=msg.seq,
+        )
+        self.sim.schedule_at(record.done_ps, self._deliver, record, priority=Priority.NIC)
+
     def _inject(self, phase: TrafficPhase) -> None:
         """Queue a phase's messages into the source NICs.
 
@@ -344,6 +396,8 @@ class BaseNetwork(ABC):
             size=record.size,
             seq=record.seq,
         )
+        if self.phase_done and self.stop_when_drained:
+            self.sim.stop()
 
     def _drop_message(self, msg: Message, reason: str) -> None:
         """Explicitly give a message up: account every byte, record the drop.
@@ -393,11 +447,6 @@ class BaseNetwork(ABC):
     def _link_dead(self) -> np.ndarray:
         """Per-port permanent-failure state (owned by the lifecycle layer)."""
         return self.lifecycle.link_dead
-
-    def _link_ok(self, u: int, v: int) -> bool:
-        """Can connection (u, v) move bytes right now?"""
-        down = self.lifecycle.link_down
-        return not (down[u] or down[v])
 
     def fault_link_down(self, port: int, duration_ps: int) -> bool:
         """A transient outage takes both of ``port``'s links down."""

@@ -32,6 +32,7 @@ from ..sched.priority import RotationPolicy, RoundRobinPriority
 from ..sched.scheduler import Scheduler
 from ..sched.slarray import wavefront_batch
 from ..sim.engine import Priority
+from ..sim.fastpath import fast_from_env
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
@@ -78,8 +79,9 @@ class CircuitNetwork(BaseNetwork):
             )
         #: circuit switching has no periodic slot clock, so there are no
         #: slot-synchronous windows (repro.sim.fastpath); fast mode only
-        #: swaps in the bit-identical batch wavefront
-        self.fast = False if fast is None else bool(fast)
+        #: swaps in the bit-identical batch wavefront.  None defers to the
+        #: REPRO_FAST environment variable, as for the TDM schemes
+        self.fast = fast_from_env() if fast is None else bool(fast)
         self.rotation_template = rotation
         self.scheduler: Scheduler | None = None
         self._fifo: list[deque[Message]] = []
@@ -299,11 +301,6 @@ class CircuitNetwork(BaseNetwork):
                 v,
                 priority=Priority.WIRE,
             )
-
-    def _deliver(self, record: MessageRecord) -> None:
-        super()._deliver(record)
-        if self.phase_done:
-            self.sim.stop()
 
     # -- lifecycle policy callbacks (repro.networks.lifecycle) ----------------------
     #

@@ -42,6 +42,8 @@ class IdealNetwork(BaseNetwork):
     """Delivers every phase in exactly its bottleneck lower bound."""
 
     scheme = "ideal"
+    #: the phase lasts its full bottleneck bound, past the last delivery
+    stop_when_drained = False
 
     def __init__(self, params: SystemParams, tracer: Tracer | None = None) -> None:
         super().__init__(params, tracer)

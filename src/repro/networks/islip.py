@@ -26,7 +26,11 @@ requester at or after ``g[v]``" is the requester ``u`` with the smallest
 ``(u - g[v]) % n``, and likewise ``(v - a[u]) % n`` for accepts.  So one
 iteration is two masked argmins over the request mask ``queue_bytes > 0``
 — per column for the grants, per row for the accepts — with no per-port loop;
-matches are listed in ascending input order.
+matches are listed in ascending input order.  The matching is then
+drained, in that order, through the select-and-drain every slotted
+network shares (:meth:`~repro.networks.base.BaseNetwork._drain_slot`),
+and each completed message is delivered after the crossbar's pipe fill
+(:meth:`~repro.networks.base.BaseNetwork._schedule_delivery`).
 
 The network reuses the paper's physical constants — slot length, per-slot
 payload, pipe latency — so a bake-off row differs from ``dynamic-tdm``
@@ -50,7 +54,6 @@ from ..sim.engine import Priority
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
-from ..types import MessageRecord
 from .base import BaseNetwork
 
 __all__ = ["IslipNetwork"]
@@ -175,31 +178,12 @@ class IslipNetwork(BaseNetwork):
             for u, v in matching:
                 self.crossbar.active.establish(u, v)
             self.crossbar.reconfigurations += 1
-        path_ps = self.crossbar.path_latency_ps()
-        for u, v in matching:
-            voqs = self.nics[u].voqs
-            moved, done = voqs.drain(v, params.slot_bytes, t, params.byte_ps)
-            if moved:
-                self.ledger.send(u, v, moved)
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + path_ps,
-                    seq=dm.message.seq,
-                )
-                self.sim.schedule_at(
-                    record.done_ps, self._deliver, record, priority=Priority.NIC
-                )
+            ins, outs = np.array(matching).T
+            path_ps = self.crossbar.path_latency_ps()
+            for _, _, _, done in self._drain_slot(ins, outs, t):
+                for dm in done:
+                    self._schedule_delivery(dm, path_ps)
         if self._phase_remaining > 0:
             self.sim.schedule(
                 params.slot_ps, self._slot_tick, gen, priority=Priority.FABRIC
             )
-
-    def _deliver(self, record: MessageRecord) -> None:
-        super()._deliver(record)
-        if self.phase_done:
-            self.sim.stop()

@@ -38,9 +38,14 @@ Establishment is a request/grant wavefront that crosses every hop:
    one slot.
 
 Data then moves slot-synchronously: one global TDM frame steps over the K
-slots (skipping slots with no ready circuit), and an established circuit
-drains up to ``slot_bytes`` per frame, delivered after the multi-hop pipe
-fill :meth:`~repro.topo.Topology.path_latency_ps`.
+slots, skipping slots whose established circuits have no bytes queued
+(grant arrival is not checked there), and an established circuit drains
+up to ``slot_bytes`` per frame, delivered after the multi-hop pipe fill
+:meth:`~repro.topo.Topology.path_latency_ps`.  The data plane never walks
+the circuit table: endpoint-level ``(n, n)`` matrices hold each
+established circuit's slot, grant arrival and creation rank, and a
+slot's holders go, in creation order, through the select-and-drain every
+slotted network shares (:meth:`~repro.networks.base.BaseNetwork._drain_slot`).
 
 Fault recovery composes the per-hop trunk state with the existing NIC
 retry→remap→degrade ladder (:mod:`repro.networks.lifecycle`): a transient
@@ -72,7 +77,7 @@ from ..sim.fastpath import fast_from_env, fastpath_ineligible
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
-from ..types import Connection, Message, MessageRecord
+from ..types import Connection, Message
 from .base import BaseNetwork
 
 __all__ = ["MultiSwitchTdmNetwork", "NAK_LIMIT"]
@@ -104,8 +109,6 @@ class _Circuit:
     hops: list[_Cell] = field(default_factory=list)
     slot: int | None = None
     established: bool = False
-    #: earliest time the NIC may use the circuit (grant arrival)
-    ready_ps: int = 0
     #: when the request became visible at the home switch
     req_seen_ps: int = 0
     naks: int = 0
@@ -176,6 +179,12 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self.schedulers: list[Scheduler] = []
         self._hold_count: list[np.ndarray] = []
         self._circuits: dict[Connection, _Circuit] = {}
+        #: the data plane's endpoint-level view of established circuits:
+        #: slot held (-1: none), grant arrival at the NIC, creation rank
+        self._slot_of = np.full((0, 0), -1, dtype=np.int32)
+        self._ready_ps = np.zeros((0, 0), dtype=np.int64)
+        self._rank = np.zeros((0, 0), dtype=np.int32)
+        self._next_rank = 0
         self._cell_fifo: dict[_Cell, deque[Connection]] = {}
         self._claim_queue: list[Connection] = []
         self._coord_queue: list[Connection] = []
@@ -216,6 +225,11 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             np.zeros((ports, ports), dtype=np.int32) for ports in topo.switch_ports
         ]
         self._circuits = {}
+        n = self.params.n_ports
+        self._slot_of = np.full((n, n), -1, dtype=np.int32)
+        self._ready_ps = np.zeros((n, n), dtype=np.int64)
+        self._rank = np.zeros((n, n), dtype=np.int32)
+        self._next_rank = 0
         self._cell_fifo = {}
         self._claim_queue = []
         self._coord_queue = []
@@ -285,11 +299,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             priority=Priority.WIRE,
         )
 
-    def _deliver(self, record: MessageRecord) -> None:
-        super()._deliver(record)
-        if self.phase_done:
-            self.sim.stop()
-
     # -- the request plane ------------------------------------------------------------
 
     def _request_rise(self, u: int, v: int) -> None:
@@ -337,6 +346,9 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             req_seen_ps=self.sim.now,
         )
         self._circuits[(u, v)] = circ
+        # the data plane serves a slot's holders in circuit creation order
+        self._rank[u, v] = self._next_rank
+        self._next_rank += 1
         self._cell_fifo.setdefault(home, deque()).append((u, v))
         self.schedulers[home[0]].r_view[home[1], home[2]] = True
         if self.tracer.enabled:
@@ -602,11 +614,14 @@ class MultiSwitchTdmNetwork(BaseNetwork):
 
     def _finish_establish(self, circ: _Circuit, t: int, via: str) -> None:
         """The last hop is claimed; the grant rides back to the NIC."""
+        assert circ.slot is not None
         circ.established = True
-        circ.ready_ps = t + self.params.scheduler_pass_ps + self.params.grant_wire_ps
+        ready_ps = t + self.params.scheduler_pass_ps + self.params.grant_wire_ps
+        self._slot_of[circ.u, circ.v] = circ.slot
+        self._ready_ps[circ.u, circ.v] = ready_ps
         # establishment latency measured from the injection-side request
         # edge (one request wire before it reached the home switch)
-        latency = circ.ready_ps - (circ.req_seen_ps - self.params.request_wire_ps)
+        latency = ready_ps - (circ.req_seen_ps - self.params.request_wire_ps)
         self._est_sum_ps += latency
         self._est_count += 1
         self._est_max_ps = max(self._est_max_ps, latency)
@@ -626,89 +641,72 @@ class MultiSwitchTdmNetwork(BaseNetwork):
 
     def _slot_tick(self) -> None:
         t = self.sim.now
-        slot = self._advance_slot()
+        # established circuits as flat endpoint indices, and their slots
+        held = np.flatnonzero(self._slot_of >= 0)
+        slots = self._slot_of.ravel()[held]
+        slot = self._advance_slot(held, slots)
         if slot is None:
             self._slot_idle_ticks += 1
         else:
-            self._transfer_slot(slot, t)
+            self._transfer_slot(slot, held[slots == slot], t)
         if self._phase_remaining > 0 or self.sim.pending > 0:
             self.sim.schedule(
                 self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC
             )
 
-    def _advance_slot(self) -> int | None:
+    def _advance_slot(self, held: np.ndarray, slots: np.ndarray) -> int | None:
         """Step the shared TDM frame to the next slot with work (skip-idle).
 
-        Hierarchical slot consistency means every switch sees the same
-        frame position, so one network-level cursor advances them all.
+        A slot has work when one of its established circuits has bytes
+        queued; grant arrival is not checked.  Hierarchical slot
+        consistency means every switch sees the same frame position, so
+        one network-level cursor advances them all.
         """
-        work = set()
-        for circ in self._circuits.values():
-            if (
-                circ.established
-                and circ.slot is not None
-                and self.nics[circ.u].voqs.bytes_pending[circ.v] > 0
-            ):
-                work.add(circ.slot)
-                if len(work) == self.k:
-                    break
-        if not work:
-            return None
+        work = np.zeros(self.k, dtype=bool)
+        work[slots[self.queue_bytes.ravel()[held] > 0]] = True
         for off in range(self.k):
             slot = (self._slot_cursor + off) % self.k
-            if slot in work:
+            if work[slot]:
                 self._slot_cursor = (slot + 1) % self.k
                 return slot
-        return None  # pragma: no cover - work is non-empty
+        return None
 
-    def _transfer_slot(self, slot: int, t: int) -> None:
-        """Every established circuit holding this slot moves one slot's bytes."""
-        params = self.params
-        slot_bytes = params.slot_bytes
-        byte_ps = params.byte_ps
+    def _transfer_slot(self, slot: int, holders: np.ndarray, t: int) -> None:
+        """Every established circuit holding this slot moves one slot's bytes.
+
+        ``holders`` are the circuits' flat endpoint indices.  They are
+        drained in circuit creation order, so deliveries, ``xfer`` records
+        and request drops keep one deterministic order.
+        """
+        self._slot_opportunities += len(holders)
+        holders = holders[np.argsort(self._rank.ravel()[holders])]
+        us, vs = np.divmod(holders, self.params.n_ports)
         faults_active = self._faults_active
+        if faults_active and self.lifecycle.trunk_down.any():
+            # a circuit riding a down trunk holds its slot but moves nothing
+            up = [
+                not self._trunk_blocked(self._circuits[(u, v)])
+                for u, v in zip(us.tolist(), vs.tolist())
+            ]
+            us, vs = us[up], vs[up]
+        moves = self._drain_slot(
+            us, vs, t, self._ready_ps, self._link_down if faults_active else None
+        )
+        params = self.params
         trace = self.tracer.enabled
-        path_ps_cache: dict[int, int] = {}
-        for (u, v), circ in list(self._circuits.items()):
-            if circ.slot != slot or not circ.established:
-                continue
-            self._slot_opportunities += 1
-            if circ.ready_ps > t:
-                continue  # the NIC has not seen the grant yet
-            if faults_active and self._circuit_blocked(circ):
-                continue  # an endpoint link or trunk on the path is out
-            nic = self.nics[u]
-            if nic.voqs.bytes_pending[v] <= 0:
-                continue
-            moved, done = nic.voqs.drain(v, slot_bytes, t, byte_ps)
-            if moved == 0:
-                continue
+        for u, v, moved, done in moves:
             self._slot_transfers += 1
             if trace:
                 self.tracer.record(t, "xfer", src=u, dst=v, bytes=moved, slot=slot)
-            self.ledger.send(u, v, moved)
             if faults_active:
                 assert self.fault_injector is not None
                 self.fault_injector.note_progress(u, v)
-            n_switches = len(circ.switches)
-            fill = path_ps_cache.get(n_switches)
-            if fill is None:
-                fill = self.topology.path_latency_ps(params, n_switches)
-                path_ps_cache[n_switches] = fill
-            for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + fill,
-                    seq=dm.message.seq,
-                )
-                self.sim.schedule_at(
-                    record.done_ps, self._deliver, record, priority=Priority.NIC
-                )
-            if nic.voqs.bytes_pending[v] == 0:
+            if done:
+                hops = len(self._circuits[(u, v)].switches)
+                fill_ps = self.topology.path_latency_ps(params, hops)
+                for dm in done:
+                    self._schedule_delivery(dm, fill_ps)
+            if self.queue_bytes[u, v] == 0:
                 # the queue-empty edge reaches the home switch one request
                 # wire later; the circuit is torn down unless refilled
                 self.sim.schedule(
@@ -721,8 +719,9 @@ class MultiSwitchTdmNetwork(BaseNetwork):
 
     def _circuit_blocked(self, circ: _Circuit) -> bool:
         down = self.lifecycle.link_down
-        if down[circ.u] or down[circ.v]:
-            return True
+        return bool(down[circ.u] or down[circ.v]) or self._trunk_blocked(circ)
+
+    def _trunk_blocked(self, circ: _Circuit) -> bool:
         trunk_down = self.lifecycle.trunk_down
         return any(l is not None and trunk_down[l] for l in circ.links)
 
@@ -746,6 +745,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         circ.hops = []
         circ.slot = None
         circ.established = False
+        self._slot_of[circ.u, circ.v] = -1
         for j in range(1, len(circ.links)):
             circ.links[j] = None
 
@@ -946,6 +946,10 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         super()._check_invariants()
         for sched in self.schedulers:
             sched.registers.check_invariants()
+        held = {key: c.slot for key, c in self._circuits.items() if c.established}
+        us, vs = np.nonzero(self._slot_of >= 0)
+        if dict(zip(zip(us.tolist(), vs.tolist()), self._slot_of[us, vs].tolist())) != held:
+            raise SchedulingError("the data plane's slot matrix disagrees with the circuits")
         for (u, v), circ in self._circuits.items():
             if circ.established:
                 assert circ.slot is not None

@@ -58,7 +58,7 @@ from ..sim.fastpath import FastPath, fast_from_env
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
-from ..types import Connection, Message, MessageRecord
+from ..types import Connection, Message
 from .base import BaseNetwork
 
 __all__ = ["TdmNetwork"]
@@ -190,7 +190,6 @@ class TdmNetwork(BaseNetwork):
         self._slot_transfers = 0
         self._slot_opportunities = 0
         self._scripts: list = []
-        self._script_bytes: np.ndarray | None = None
         self._conn_ready: np.ndarray | None = None
 
     # -- run scaffolding -----------------------------------------------------------
@@ -228,7 +227,6 @@ class TdmNetwork(BaseNetwork):
         self._slot_transfers = 0
         self._slot_opportunities = 0
         self._scripts = []
-        self._script_bytes = None
         # grant-wire visibility: a connection established at time t can first
         # carry data at t + grant_wire_ps, when the NIC has seen its grant
         self._conn_ready = np.zeros(
@@ -257,7 +255,6 @@ class TdmNetwork(BaseNetwork):
         now = self.sim.now
         n = self.params.n_ports
         self._scripts = [deque() for _ in range(n)]
-        self._script_bytes = np.zeros((n, n), dtype=np.int64)
         for msg in phase.messages:
             if not (0 <= msg.src < n and 0 <= msg.dst < n):
                 raise SchedulingError(
@@ -267,7 +264,6 @@ class TdmNetwork(BaseNetwork):
             msg.inject_ps += now
             self.ledger.offer(msg.src, msg.dst, msg.size)
             self._scripts[msg.src].append(msg)
-            self._script_bytes[msg.src, msg.dst] += msg.size
             if self.tracer.enabled:
                 self.tracer.record(
                     msg.inject_ps,
@@ -290,8 +286,6 @@ class TdmNetwork(BaseNetwork):
         if not script:
             return
         msg = script.popleft()
-        assert self._script_bytes is not None
-        self._script_bytes[u, msg.dst] -= msg.size
         self.nics[u].enqueue(msg)
         if not initial:
             # a fresh request edge travels to the scheduler
@@ -598,9 +592,9 @@ class TdmNetwork(BaseNetwork):
     def _transfer_slot(self, slot: int, t: int) -> None:
         """Move data over every granted connection of one slot.
 
-        :meth:`FastPath.transfer_slot` selects and drains the connections;
-        this applies the network's reactions to what moved, connection by
-        connection in input-port order.
+        :meth:`FastPath.transfer_slot` selects, drains and posts the
+        connections to the ledger; this applies the network's reactions to
+        what moved, connection by connection in input-port order.
         """
         params = self.params
         sched = self.scheduler
@@ -614,11 +608,11 @@ class TdmNetwork(BaseNetwork):
         )
         tracer = self.tracer
         trace = tracer.enabled
+        fill_ps = self.crossbar.path_latency_ps()
         for u, v, moved, done in moves:
             self._slot_transfers += 1
             if trace:
                 tracer.record(t, "xfer", src=u, dst=v, bytes=moved, slot=slot)
-            self.ledger.send(u, v, moved)
             if faults_active:
                 assert self.fault_injector is not None
                 self.fault_injector.note_progress(u, v)
@@ -626,18 +620,7 @@ class TdmNetwork(BaseNetwork):
             if (u, v) in self._batch_conns:
                 self._batch_remaining -= moved
             for dm in done:
-                record = MessageRecord(
-                    src=u,
-                    dst=v,
-                    size=dm.message.size,
-                    inject_ps=dm.message.inject_ps,
-                    start_ps=dm.start_ps,
-                    done_ps=dm.finish_ps + self.crossbar.path_latency_ps(),
-                    seq=dm.message.seq,
-                )
-                self.sim.schedule_at(
-                    record.done_ps, self._deliver, record, priority=Priority.NIC
-                )
+                self._schedule_delivery(dm, fill_ps)
                 if self.prefetcher is not None:
                     self.prefetcher.observe(u, v, t)
                     conn = self.prefetcher.prefetch(u, v, t)
@@ -757,12 +740,10 @@ class TdmNetwork(BaseNetwork):
         removed = self.nics[u].voqs.purge(v)
         victims: list[Message] = list(removed)
         if self._scripts:
-            assert self._script_bytes is not None
             script = self._scripts[u]
             keep: deque = deque()
             for m in script:
                 if m.dst == v:
-                    self._script_bytes[u, v] -= m.size
                     victims.append(m)
                 else:
                     keep.append(m)
@@ -799,7 +780,6 @@ class TdmNetwork(BaseNetwork):
             freed[nic.port] += len(removed)
             victims.extend(removed)
         if self._scripts:
-            assert self._script_bytes is not None
             for u in range(n):
                 script = self._scripts[u]
                 if not script:
@@ -807,7 +787,6 @@ class TdmNetwork(BaseNetwork):
                 keep: deque = deque()
                 for m in script:
                     if u == port or m.dst == port:
-                        self._script_bytes[u, m.dst] -= m.size
                         victims.append(m)
                     else:
                         keep.append(m)
@@ -860,10 +839,3 @@ class TdmNetwork(BaseNetwork):
         super()._drop_message(msg, reason)
         if self._batch_conns:
             self._maybe_advance_batch()
-
-    # -- delivery hook ---------------------------------------------------------------------------
-
-    def _deliver(self, record: MessageRecord) -> None:
-        super()._deliver(record)
-        if self.phase_done:
-            self.sim.stop()

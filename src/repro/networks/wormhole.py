@@ -251,11 +251,6 @@ class WormholeNetwork(BaseNetwork):
     def _source_freed(self, u: int) -> None:
         self._launch_next(u)
 
-    def _deliver(self, record: MessageRecord) -> None:
-        super()._deliver(record)
-        if self.phase_done:
-            self.sim.stop()
-
     def _drop_message(self, msg: Message, reason: str) -> None:
         super()._drop_message(msg, reason)
         if msg.remaining != msg.size:

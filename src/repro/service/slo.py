@@ -21,32 +21,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
 from ..errors import ConfigurationError
+from ..sim.stats import percentile_ps
 from .model import Outcome
 
-__all__ = ["percentile_ps", "SloRecorder", "SloSnapshot"]
-
-
-def percentile_ps(sorted_values: list[int], q: float) -> int:
-    """Exact nearest-rank percentile of pre-sorted integers (-1 if empty)."""
-    if not sorted_values:
-        return -1
-    try:
-        exact_q = Fraction(str(q))
-    except ValueError:
-        raise ConfigurationError(f"percentile must be in (0, 100], got {q}") from None
-    if not 0 < exact_q <= 100:
-        raise ConfigurationError(f"percentile must be in (0, 100], got {q}")
-    # ceil(n * q / 100) in exact integer arithmetic; q goes through its
-    # decimal string so 99.9 means 999/10, not the nearest binary float.
-    num = len(sorted_values) * exact_q.numerator
-    den = 100 * exact_q.denominator
-    rank = -(-num // den)
-    return sorted_values[rank - 1]
+__all__ = ["SloRecorder", "SloSnapshot"]
 
 
 @dataclass(slots=True, frozen=True)

@@ -3,14 +3,14 @@
 Every :class:`~repro.networks.tdm.TdmNetwork` run owns one
 :class:`FastPath`.  Its :meth:`FastPath.transfer_slot` is the network's
 only per-slot transfer, in every mode (event, ``--fast``, traced,
-faulted): the grant/ready/pending/link-up selection is one vector mask
-over the network's ``(n, n)`` queue-byte matrix
-(:attr:`~repro.networks.base.BaseNetwork.queue_bytes`), and every
-selected connection is drained by
-:meth:`~repro.nic.queues.VirtualOutputQueues.drain`, whose first branch
-is the common mid-message slot.  The network applies its reactions
-(ledger, predictor, deliveries, trace records, ...) to what the transfer
-reports.
+faulted): it turns the slot's configuration into endpoint coordinates
+for the select-and-drain all slotted networks share,
+:meth:`~repro.networks.base.BaseNetwork._drain_slot` (one vector mask
+over the ``(n, n)`` queue-byte matrix for grant arrival, pending bytes
+and link state, then :meth:`~repro.nic.queues.VirtualOutputQueues.drain`
+per selected connection and the ledger post).  The network applies its
+reactions (predictor, deliveries, trace records, ...) to what the
+transfer reports.
 
 The rest of this module exploits the regularity of the two periodic
 events — the TDM slot tick and the SL scheduler tick — whose work is, for
@@ -169,8 +169,8 @@ class FastPath:
     """Per-run data-plane state for one TdmNetwork run.
 
     Created in ``TdmNetwork._reset_scheme_state`` for every run; owns the
-    vectorised transfer, which reads the network's queue-byte matrix and
-    drains through the VOQs' own ``drain``.  Fast, eligible
+    per-slot transfer, an adaptor onto the network's shared
+    select-and-drain.  Fast, eligible
     runs (:attr:`armed`) also get the quiescent-window machinery, the
     inert-pass shortcut and the batch wavefront.  All effects are
     bit-identical to the tick-by-tick path, so nothing here appears in
@@ -567,28 +567,10 @@ class FastPath:
     ) -> list[tuple[int, int, int, list["DrainedMessage"]]]:
         """Move up to one slot's bytes over every connection of ``cfg``.
 
-        One mask selects the connections whose grant has reached the NIC
-        (``conn_ready <= t``) and whose queue holds bytes, plus, when
-        ``link_down`` is given, whose two endpoint links are up.  Each
-        selected connection is drained by its VOQ's ``drain``.  Returns
-        ``(u, v, moved, done)`` for every connection that moved bytes, in
-        input-port order, for the network to react to.
+        Hands the configuration's connections, in input-port order, to the
+        network's shared :meth:`~repro.networks.base.BaseNetwork._drain_slot`
+        with the grant-ready matrix and, under faults, the link-down mask.
         """
         rtc = cfg.row_to_col
         us = np.nonzero(rtc >= 0)[0]
-        vs = rtc[us]
-        act = (conn_ready[us, vs] <= t) & (self.net.queue_bytes[us, vs] > 0)
-        if link_down is not None:
-            act &= ~(link_down[us] | link_down[vs])
-        moves: list[tuple[int, int, int, list[DrainedMessage]]] = []
-        if not act.any():
-            return moves
-        params = self.net.params
-        slot_bytes = params.slot_bytes
-        byte_ps = params.byte_ps
-        nics = self.net.nics
-        for u, v in zip(us[act].tolist(), vs[act].tolist()):
-            moved, done = nics[u].voqs.drain(v, slot_bytes, t, byte_ps)
-            if moved:  # zero: the head is not yet injected
-                moves.append((u, v, moved, done))
-        return moves
+        return self.net._drain_slot(us, rtc[us], t, conn_ready, link_down)

@@ -13,7 +13,30 @@ from fractions import Fraction
 
 from ..errors import ConfigurationError
 
-__all__ = ["OnlineStats", "Histogram", "Counter"]
+__all__ = ["OnlineStats", "Histogram", "Counter", "percentile_ps"]
+
+
+def percentile_ps(sorted_values: list[int], q: float) -> int:
+    """Exact nearest-rank percentile of pre-sorted integers (-1 if empty).
+
+    The one percentile definition of the package: batch latency and
+    recovery digests and the service's SLO windows all report it over
+    integer picoseconds.
+    """
+    if not sorted_values:
+        return -1
+    try:
+        exact_q = Fraction(str(q))
+    except ValueError:
+        raise ConfigurationError(f"percentile must be in (0, 100], got {q}") from None
+    if not 0 < exact_q <= 100:
+        raise ConfigurationError(f"percentile must be in (0, 100], got {q}")
+    # ceil(n * q / 100) in exact integer arithmetic; q goes through its
+    # decimal string so 99.9 means 999/10, not the nearest binary float.
+    num = len(sorted_values) * exact_q.numerator
+    den = 100 * exact_q.denominator
+    rank = -(-num // den)
+    return sorted_values[rank - 1]
 
 
 @dataclass(slots=True)

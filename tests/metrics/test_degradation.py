@@ -70,6 +70,17 @@ class TestDegradationReport:
         assert report.recovery_mean_ns == pytest.approx(2000.0, rel=0.05)
         assert report.recovery_max_ns == pytest.approx(3000.0, rel=0.05)
 
+    def test_recovery_percentiles_are_exact(self):
+        """Recovery latencies that are not 50 ns multiples give the exact
+        nearest-rank p50/p99, not the upper edge of a 50 ns bin."""
+        result = _result(
+            [_record(0)], [], recovery_ps=[123_457, 1_234, 98_765, 70_001]
+        )
+        report = degradation_report(result)
+        assert report.recovery_p50_ns == 70.001
+        assert report.recovery_p99_ns == 123.457
+        assert report.recovery_max_ns == 123.457
+
     def test_faults_applied_from_counters(self):
         result = _result(
             [_record(0)], [],

@@ -17,7 +17,7 @@ from repro.params import PAPER_PARAMS
 from repro.sim.rng import RngStreams
 from repro.traffic.base import TrafficPhase, assign_seq
 from repro.traffic.scatter import ScatterPattern
-from repro.types import Message
+from repro.types import Message, MessageRecord
 
 
 @pytest.fixture
@@ -63,8 +63,23 @@ class TestLatencySummary:
         summary = summarize_latencies(result)
         assert summary.count == 7
         assert summary.mean_ns > 0
-        # quantiles report bin upper edges, so allow one bin of slack
-        assert summary.p50_ns <= summary.p99_ns <= summary.max_ns + 50.0
+        # exact nearest-rank percentiles are observed samples
+        assert summary.p50_ns <= summary.p99_ns <= summary.max_ns
+        observed = {r.latency_ps / 1000.0 for r in result.records}
+        assert {summary.p50_ns, summary.p99_ns} <= observed
+
+    def test_percentiles_are_exact(self, params):
+        """Latencies that are not 50 ns multiples report exactly."""
+        records = [
+            MessageRecord(src=0, dst=1, size=8, inject_ps=0, start_ps=0, done_ps=d, seq=i)
+            for i, d in enumerate((1_234, 70_001, 98_765, 123_457))
+        ]
+        result = IdealNetwork(params).run(ScatterPattern(8, 64).phases(RngStreams(0)))
+        result.records[:] = records
+        summary = summarize_latencies(result)
+        assert summary.p50_ns == 70.001
+        assert summary.p99_ns == 123.457
+        assert summary.max_ns == 123.457
 
     def test_empty(self, params):
         phases = ScatterPattern(8, 64).phases(RngStreams(0))

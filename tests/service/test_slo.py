@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service.model import Outcome
-from repro.service.slo import SloRecorder, percentile_ps
+from repro.service.slo import SloRecorder
+from repro.sim.stats import percentile_ps
 
 
 class TestPercentile:
