@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 from ..compiled.coloring import decompose
 from ..exec import ExecStats, map_cells
 from ..metrics.efficiency import efficiency_from_bound, run_lower_bound_ps
-from ..metrics.report import format_csv, format_series, format_table
+from ..metrics.report import format_series, format_table
 from ..networks.base import RunResult
 from ..networks.registry import DEFAULT_INJECTION_WINDOW, RunSpec, build_network
 from ..params import PAPER_PARAMS, SystemParams
@@ -281,9 +281,6 @@ class CompareResult:
                 f"{p.makespan_ps},{p.lower_bound_ps},{p.total_bytes}"
             )
         return "\n".join(rows) + "\n"
-
-    def pattern_csv(self, pattern: str) -> str:
-        return format_csv("bytes", list(self.sizes), self.series[pattern])
 
     def _coverage_table(self) -> str:
         return format_table(

@@ -203,11 +203,6 @@ class ConnectionManager:
 
     # -- per-trunk-link transitions (multi-switch fabrics) ----------------------------
 
-    @property
-    def trunk_healthy(self) -> np.ndarray:
-        """Per-trunk-link usability mask (True while the link carries data)."""
-        return ~self.trunk_down
-
     def trunk_link_down(self, link: int, duration_ps: int) -> bool:
         """A transient outage takes inter-switch trunk ``link`` down."""
         if self.trunk_down[link]:

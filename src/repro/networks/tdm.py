@@ -81,7 +81,6 @@ class TdmNetwork(BaseNetwork):
         flush_on_phase: bool = False,
         n_sl_units: int = 1,
         multislot_threshold_bytes: int | None = None,
-        batch_load_ps: int | None = None,
         injection_window: int | None = None,
         skip_idle_slots: bool = True,
         prefetcher: MarkovPrefetcher | None = None,
@@ -141,9 +140,6 @@ class TdmNetwork(BaseNetwork):
         #: configurations with no pending requests (B(t) AND R == 0); the
         #: scheduler holds both matrices, so the AND is free in hardware
         self.skip_idle_slots = skip_idle_slots
-        self.batch_load_ps = (
-            params.scheduler_pass_ps if batch_load_ps is None else batch_load_ps
-        )
         #: optional next-connection prefetcher (Section 3.2's proactive
         #: establishment, realised through the extension-3 request latches)
         self.prefetcher = prefetcher
@@ -533,7 +529,7 @@ class TdmNetwork(BaseNetwork):
         self._batch_loading = True
         # the compiler directive takes one scheduler pass to take effect
         self.sim.schedule(
-            self.batch_load_ps,
+            self.params.scheduler_pass_ps,
             self._load_batch,
             self._batch_idx,
             self._program_gen,
@@ -664,10 +660,7 @@ class TdmNetwork(BaseNetwork):
         if self.boost_policy is not None:
             self.boost_policy.update(self.queue_bytes)
             self.boost_policy.release_excess(self.queue_bytes)
-        if isinstance(sched, MultiUnitScheduler):
-            passes = sched.sl_tick()
-        else:
-            passes = [sched.sl_pass()]
+        passes = sched.sl_tick()
         # the pass latches after one scheduler period; the grant then rides
         # the grant wire to the NIC before the connection can carry data
         ready = t + self.params.scheduler_pass_ps + self.params.grant_wire_ps

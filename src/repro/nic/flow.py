@@ -102,10 +102,6 @@ class FlowLedger:
     def total_delivered(self) -> int:
         return int(self.delivered.sum())
 
-    @property
-    def total_dropped(self) -> int:
-        return int(self.dropped.sum())
-
     def assert_conserved(self) -> None:
         """At end of run: every offered byte was delivered or explicitly
         surrendered — never silently created, lost, or duplicated."""

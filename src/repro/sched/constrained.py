@@ -9,8 +9,10 @@ fabrics)."*
 
 :class:`ConstrainedScheduler` is the scheduler for those fabrics: it keeps
 the whole Figure-2 organisation (register file, B*, TDM counter, request
-latches, priority rotation) but replaces the SL array's port-availability
-wavefront with a greedy feasibility check against a **fabric constraint**
+latches, priority rotation) and the whole pass of
+:meth:`~repro.sched.scheduler.Scheduler.sl_pass`, and overrides only the
+step that evaluates the L cells: the SL array's port-availability
+wavefront becomes a greedy feasibility check against a **fabric constraint**
 object — anything with ``is_realizable(config) -> bool``, e.g.
 :class:`repro.fabric.multistage.OmegaNetwork` or
 :class:`repro.fabric.fattree.FatTree`.  Candidates are visited in the same
@@ -31,12 +33,10 @@ from typing import Protocol
 
 import numpy as np
 
-from ..errors import SchedulingError
 from ..fabric.config import ConfigMatrix
 from ..params import SystemParams
-from .presched import compute_l
 from .priority import RotationPolicy
-from .scheduler import Scheduler, SchedulerPass
+from .scheduler import Scheduler
 from .slarray import PassOutcome, Toggle
 
 __all__ = ["FabricConstraint", "ConstrainedScheduler"]
@@ -61,35 +61,13 @@ class ConstrainedScheduler(Scheduler):
         super().__init__(params, k, rotation)
         self.constraint = constraint
 
-    def sl_pass(self, slot: int | None = None) -> SchedulerPass:
-        if slot is None:
-            slot = self.next_dynamic_slot()
-            if slot is None:
-                self.counters.inc("passes_idle")
-                return SchedulerPass(None, None)
-        elif slot in self.registers.pinned:
-            raise SchedulingError(
-                f"cannot run a dynamic pass on slot {slot}: it is pinned "
-                f"(preloaded); pinned slots are {sorted(self.registers.pinned)}"
-            )
-        elif slot in self.registers.quarantined:
-            raise SchedulingError(
-                f"cannot run a dynamic pass on slot {slot}: it is "
-                f"quarantined after a fault"
-            )
+    def _evaluate(
+        self, slot: int, cfg: ConfigMatrix, rows: np.ndarray, cols: np.ndarray
+    ) -> PassOutcome:
+        """Greedy feasibility check in place of the SL array's wavefront.
 
-        cfg = self.registers[slot]
-        pres = compute_l(
-            self.r_view,
-            cfg.b,
-            self.registers.b_star,
-            boost=self.boost if self.boost.any() else None,
-            hold=self.latched if self.latched.any() else None,
-        )
-        l = pres.l
-        if self.dead_cells is not None:
-            l = l & ~self.dead_cells
-        rows, cols = np.nonzero(l)
+        A rotation is drawn only when L holds a cell.
+        """
         outcome = PassOutcome()
         if len(rows):
             n = self.n
@@ -113,8 +91,4 @@ class ConstrainedScheduler(Scheduler):
                     self.registers.release(slot, u, v)
                     outcome.blocked += 1
                     self.counters.inc("blocked_by_fabric")
-        self.counters.inc("passes")
-        self.counters.inc("blocked", outcome.blocked)
-        if self.tracer.enabled:
-            self._trace_pass(slot, outcome)
-        return SchedulerPass(slot, outcome)
+        return outcome

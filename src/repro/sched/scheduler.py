@@ -121,11 +121,6 @@ class Scheduler:
             self.registers.load(s, cfg, pin=pin)
         self.counters.inc("preloads", len(configs))
 
-    def load_slot(self, slot: int, config: ConfigMatrix, *, pin: bool = True) -> None:
-        """Load one configuration into a specific slot."""
-        self.registers.load(slot, config, pin=pin)
-        self.counters.inc("preloads")
-
     def flush(self) -> None:
         """Extension 4: clear every configuration and every latch."""
         self.registers.flush()
@@ -218,6 +213,22 @@ class Scheduler:
         if self.dead_cells is not None:
             l = l & ~self.dead_cells
         rows, cols = np.nonzero(l)
+        outcome = self._evaluate(slot, cfg, rows, cols)
+        self.counters.inc("passes")
+        self.counters.inc("blocked", outcome.blocked)
+        if self.tracer.enabled:
+            self._trace_pass(slot, outcome)
+        return SchedulerPass(slot, outcome)
+
+    def _evaluate(
+        self, slot: int, cfg: ConfigMatrix, rows: np.ndarray, cols: np.ndarray
+    ) -> PassOutcome:
+        """Evaluate the L cells ``(rows, cols)`` of ``slot``; apply the toggles.
+
+        The crossbar's SL array: one wavefront from the next rotation's
+        injection point.  This is the only step of :meth:`sl_pass` a
+        fabric-specific scheduler overrides.
+        """
         outcome = self.wavefront(
             rows,
             cols,
@@ -229,11 +240,67 @@ class Scheduler:
         for t in outcome.toggles:
             self.registers.toggle(slot, t.u, t.v)
             self.counters.inc("establishes" if t.establish else "releases")
-        self.counters.inc("passes")
-        self.counters.inc("blocked", outcome.blocked)
-        if self.tracer.enabled:
-            self._trace_pass(slot, outcome)
-        return SchedulerPass(slot, outcome)
+        return outcome
+
+    def sl_tick(self) -> list[SchedulerPass]:
+        """One SL clock period: a single SL unit runs one pass."""
+        return [self.sl_pass()]
+
+    # -- inert passes (the slot-synchronous fast path) -------------------------------
+
+    def inert_blocked(self, slots: list[int] | None = None) -> int | None:
+        """Cells a pass over any of ``slots`` blocks, or None if it may toggle.
+
+        ``slots`` defaults to the slot the next :meth:`sl_pass` schedules;
+        with no slot at all the passes are idle and block nothing.
+        Inertness is decided by the same Table-1 terms :func:`compute_l`
+        evaluates.  The release term ``B(s) & ~(R|latched)`` must be empty
+        in every slot.  Establish candidates ``(R|latched) & ~B*``
+        (slot-independent since ``B(s) <= B*``) are tolerated only if each
+        lacks a free input AND output in every slot: signals only move on
+        toggles, so entry occupancy decides alone, and each inert pass
+        counts exactly the candidates as blocked.  Dead cells are never
+        proven inert.  The rule is the SL array's, so it holds for the
+        plain scheduler only.
+        """
+        if self.dead_cells is not None:
+            return None
+        regs = self.registers
+        if slots is None:
+            dynamic = regs.dynamic_slots()
+            slots = [dynamic[self._sl_cursor % len(dynamic)]] if dynamic else []
+        if not slots:
+            return 0
+        r = self.r_view
+        eff_r = (r | self.latched) if self.latched.any() else r
+        cfgs = [regs.slots[s] for s in slots]
+        for cfg in cfgs:
+            if len(cfg) and bool(np.any(cfg.b & ~eff_r)):
+                return None
+        est = eff_r & ~regs.b_star
+        if not est.any():
+            return 0
+        for cfg in cfgs:
+            free = ~cfg.input_busy()[:, None] & ~cfg.output_busy()[None, :]
+            if bool(np.any(est & free)):
+                return None
+        return int(np.count_nonzero(est))
+
+    def skip_inert_passes(self, j: int, blocked: int) -> None:
+        """Apply ``j`` passes :meth:`inert_blocked` proved inert.
+
+        Each one changes only what a real :meth:`sl_pass` that toggles
+        nothing changes: the SL cursor and the rotation advance, and the
+        pass and its ``blocked`` cells are counted — or, with no dynamic
+        slot, an idle pass is counted.  Nothing is traced.
+        """
+        if not self.registers.dynamic_slots():
+            self.counters.inc("passes_idle", j)
+            return
+        self._sl_cursor += j
+        self.rotation.advance(j)
+        self.counters.inc("passes", j)
+        self.counters.inc("blocked", j * blocked)
 
     def _trace_pass(self, slot: int, outcome: PassOutcome) -> None:
         """Record one SL pass and its per-connection toggles."""

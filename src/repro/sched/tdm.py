@@ -45,7 +45,7 @@ class TdmCounter:
         Returns ``None`` (and stays put) when no slot qualifies — the
         fabric simply holds no useful connections this slot.
         """
-        slot = self._scan(pending)
+        slot = self._scan(pending, self.current)
         if slot is None:
             self.idle_ticks += 1
             return None
@@ -55,13 +55,32 @@ class TdmCounter:
 
     def peek(self, pending: np.ndarray | None = None) -> int | None:
         """The slot :meth:`advance` would land on, without moving."""
-        return self._scan(pending)
+        return self._scan(pending, self.current)
 
-    def _scan(self, pending: np.ndarray | None) -> int | None:
+    def cycle(self, pending: np.ndarray | None = None) -> list[int]:
+        """The slots successive :meth:`advance` calls land on, one period.
+
+        While the registers and ``pending`` stay unchanged the useful slots
+        are fixed, and each one's successor is the next useful slot in
+        cyclic index order.  Starting from :attr:`current`, the sequence is
+        therefore a pure cycle: it repeats with the length of the returned
+        list (empty when no slot qualifies).
+        """
+        first = self._scan(pending, self.current)
+        if first is None:
+            return []
+        slots = [first]
+        while (slot := self._scan(pending, slots[-1])) != first:
+            assert slot is not None  # a useful slot always has a successor
+            slots.append(slot)
+        return slots
+
+    def _scan(self, pending: np.ndarray | None, after: int) -> int | None:
+        """The first useful slot after ``after``, in cyclic index order."""
         k = self.registers.k
         quarantined = self.registers.quarantined
         for step in range(1, k + 1):
-            candidate = (self.current + step) % k
+            candidate = (after + step) % k
             if candidate in quarantined:
                 continue  # slot taken out of service by fault management
             cfg = self.registers[candidate]

@@ -28,9 +28,11 @@ change no observable of the simulation:
   executed, just not through the heap), so event counts and every
   ``RunResult`` field stay **byte-identical** to the event-driven path
   (CI diffs the two modes on real sweeps);
-* outside windows, an SL tick whose pre-scheduling matrix is provably
-  empty (:meth:`FastPath.handle_sl_tick`) skips the full pass and applies
-  its only effects — cursor, rotation, pass counters — directly;
+* outside windows, an SL tick whose pass
+  :meth:`~repro.sched.scheduler.Scheduler.inert_blocked` proves inert
+  (:meth:`FastPath.handle_sl_tick`) skips the full pass and applies its
+  only effects — cursor, rotation, pass counters — through
+  :meth:`~repro.sched.scheduler.Scheduler.skip_inert_passes`;
 * the scheduler's wavefront evaluator is swapped for
   :func:`~repro.sched.slarray.wavefront_batch` (bit-identical by
   construction; see its property tests).
@@ -44,14 +46,14 @@ across ticks):
   prefetcher and no boost policy are attached, and no preload-batch load
   is in flight — these act on their own clocks and would mutate scheduler
   state mid-window;
-* every SL pass inside the window is provably inert: no dynamic slot
-  holds a release candidate (``B(s) & ~(R | latched)``), and every
-  establish candidate (``(R | latched) & ~B*``, slot-independent because
-  ``B(s) <= B*``), if any exist, lacks a free input-and-output pair in
-  every dynamic slot — grant signals only move on toggles, so entry
-  occupancy alone decides, and each inert pass counts exactly the number
-  of establish candidates as blocked;
-* every connection in a slot the frozen TDM counter will apply either has
+* every SL pass inside the window is provably inert, whichever dynamic
+  slot it schedules (:meth:`~repro.sched.scheduler.Scheduler.inert_blocked`
+  over all of them: no release candidate, and no establish candidate
+  with a free input-and-output pair), so each one blocks the same
+  number of cells;
+* every connection in a slot the frozen TDM counter will apply (one
+  period of :meth:`~repro.sched.tdm.TdmCounter.cycle`: with the useful
+  slots frozen, the counter's sequence is a pure cycle) either has
   no pending bytes, or is fully ready (its grant has propagated:
   ``conn_ready <= t0``) with an already-injected head message — otherwise
   service would start mid-window without a heap event marking the change.
@@ -136,33 +138,20 @@ def fastpath_ineligible(net: "BaseNetwork") -> str | None:
     return None
 
 
-def _count_before(positions: list[int], m: int, tau: int, p: int, w: int) -> int:
-    """Occurrences among the first ``m`` ticks of a tail+cycle sequence.
+def _count_before(positions: list[int], m: int, p: int) -> int:
+    """Service turns among the first ``m`` ticks of a period-``p`` cycle.
 
-    ``positions`` holds the (sorted) tick indices of one connection's
-    service turns within the tail (indices ``< tau``) and the first cycle
-    period (indices ``tau .. tau+p-1``); ``w`` of them lie in the cycle.
+    ``positions`` holds the (sorted) tick indices, ``0 .. p-1``, of one
+    connection's service turns within the first period.
     """
-    if m <= tau:
-        return sum(1 for i in positions if i < m)
-    full, rem = divmod(m - tau, p)
-    base = len(positions) - w  # all tail occurrences
-    in_rem = sum(1 for i in positions if i >= tau and i - tau < rem)
-    return base + full * w + in_rem
+    full, rem = divmod(m, p)
+    return full * len(positions) + sum(1 for i in positions if i < rem)
 
 
-def _index_of_occurrence(
-    positions: list[int], k: int, tau: int, p: int, w: int
-) -> int | None:
-    """Tick index of the ``k``-th (1-based) service turn, or None if never."""
-    if k <= len(positions) - w:
-        return positions[k - 1]
-    k -= len(positions) - w
-    if w == 0:
-        return None
-    cyc = positions[len(positions) - w :]
-    full, rem = divmod(k - 1, w)
-    return full * p + cyc[rem]
+def _index_of_occurrence(positions: list[int], k: int, p: int) -> int:
+    """Tick index of the ``k``-th (1-based) service turn."""
+    full, rem = divmod(k - 1, len(positions))
+    return full * p + positions[rem]
 
 
 class FastPath:
@@ -219,60 +208,23 @@ class FastPath:
 
     # -- the provably-empty SL pass -------------------------------------------
 
-    def _inert_blocked(self, slots: list[int]) -> int | None:
-        """Cells a pass over any of ``slots`` blocks, or None if it toggles.
-
-        Inertness is decided by the same Table-1 terms ``compute_l``
-        evaluates.  The release term ``B(s) & ~(R|latched)`` must be empty
-        in every slot.  Establish candidates ``(R|latched) & ~B*``
-        (slot-independent since ``B(s) <= B*``) are tolerated only if each
-        lacks a free input AND output in every slot: signals only move on
-        toggles, so entry occupancy decides alone, and each inert pass
-        counts exactly the candidates as blocked.
-        """
-        sched = self.sched
-        regs = sched.registers
-        r = sched.r_view
-        eff_r = (r | sched.latched) if sched.latched.any() else r
-        cfgs = [regs.slots[s] for s in slots]
-        for cfg in cfgs:
-            if len(cfg) and bool(np.any(cfg.b & ~eff_r)):
-                return None
-        est = eff_r & ~regs.b_star
-        if not est.any():
-            return 0
-        for cfg in cfgs:
-            free = ~cfg.input_busy()[:, None] & ~cfg.output_busy()[None, :]
-            if bool(np.any(est & free)):
-                return None
-        return int(np.count_nonzero(est))
-
     def handle_sl_tick(self) -> bool:
         """Run one SL tick whose pass is provably a no-op; False: run it.
 
         Outside quiescent windows most SL passes find an empty
         pre-scheduling matrix and change nothing but the cursor, the
-        rotation, and the pass counters.  Emptiness is decided for the
-        slot this pass would schedule (:meth:`_inert_blocked`), so the
+        rotation, and the pass counters.  Inertness is decided for the
+        slot this pass would schedule
+        (:meth:`~repro.sched.scheduler.Scheduler.inert_blocked`), so the
         replicated effects are exact, not approximate.
         """
         if not self._quiet_capable:
             return False
         sched = self.sched
-        if sched.dead_cells is not None:
-            return False
-        regs = sched.registers
-        dynamic = regs.dynamic_slots()
-        if not dynamic:
-            sched.counters.inc("passes_idle")
-        else:
-            blocked = self._inert_blocked([dynamic[sched._sl_cursor % len(dynamic)]])
-            if blocked is None:
-                return False  # the pass would toggle: run the real one
-            sched._sl_cursor += 1
-            sched.rotation.next_rotation()
-            sched.counters.inc("passes")
-            sched.counters.inc("blocked", blocked)
+        blocked = sched.inert_blocked()
+        if blocked is None:
+            return False  # the pass would toggle: run the real one
+        sched.skip_inert_passes(1, blocked)
         self.trivial_sl_ticks += 1
         net = self.net
         if net._phase_remaining > 0 or self.sim.pending > 0:
@@ -337,49 +289,15 @@ class FastPath:
         # scheduler inertness: every in-window pass, whichever dynamic slot
         # it schedules, must toggle nothing
         regs = sched.registers
-        dynamic = regs.dynamic_slots()
-        est_count = self._inert_blocked(dynamic) if dynamic else 0
+        est_count = sched.inert_blocked(regs.dynamic_slots())
         if est_count is None:
             self.window_denials += 1
             return
 
-        # the frozen TDM counter's slot sequence: a transient tail that
-        # leads into a cycle (both of length <= k)
-        pending = sched.r_view if net.skip_idle_slots else None
-        useful = []
-        for s in range(regs.k):
-            cfg = regs.slots[s]
-            useful.append(
-                s not in regs.quarantined
-                and not cfg.is_empty
-                and (pending is None or bool(np.any(cfg.b & pending)))
-            )
-
-        def nxt(cur: int) -> int | None:
-            for step in range(1, regs.k + 1):
-                cand = (cur + step) % regs.k
-                if useful[cand]:
-                    return cand
-            return None
-
-        first = nxt(sched.tdm.current)
-        if first is None:
-            tail: list[int] = []
-            cycle: list[int] = []
-            no_slots = True
-        else:
-            seq = [first]
-            seen = {first: 0}
-            while True:
-                s2 = nxt(seq[-1])
-                assert s2 is not None  # a useful slot always finds a successor
-                if s2 in seen:
-                    tail = seq[: seen[s2]]
-                    cycle = seq[seen[s2] :]
-                    break
-                seen[s2] = len(seq)
-                seq.append(s2)
-            no_slots = False
+        # the frozen TDM counter's slot sequence: one period of a pure cycle
+        tdm = sched.tdm
+        cycle = tdm.cycle(sched.r_view if net.skip_idle_slots else None)
+        p = len(cycle)
 
         # per-connection service analysis over the slots that will be
         # applied; any connection whose service could *start* mid-window
@@ -393,7 +311,7 @@ class FastPath:
         bslot: dict[int, int] = {}
         conn_head: dict[tuple[int, int], "Message"] = {}
         conn_slots: dict[tuple[int, int], set[int]] = {}
-        for s in sorted(set(tail) | set(cycle)):
+        for s in sorted(cycle):
             cfg = regs.slots[s]
             rtc = cfg.row_to_col
             us = np.nonzero(rtc >= 0)[0]
@@ -423,27 +341,22 @@ class FastPath:
             bslot[s] = batch_moves
 
         # first break: the earliest tick a served head would complete on
-        tau = len(tail)
-        p = len(cycle)
         break_idx: int | None = None
-        served: list[tuple[int, int, list[int], int]] = []
+        served: list[tuple[int, int, list[int]]] = []
         for (u, v), slots_of in sorted(conn_slots.items()):
-            positions = [i for i, s in enumerate(tail) if s in slots_of]
-            w0 = len(positions)
-            positions += [tau + i for i, s in enumerate(cycle) if s in slots_of]
-            w = len(positions) - w0
+            positions = [i for i, s in enumerate(cycle) if s in slots_of]
             head = conn_head[(u, v)]
             k_done = -(-head.remaining // slot_bytes)  # ceil: drains to finish
-            idx = _index_of_occurrence(positions, k_done, tau, p, w)
-            if idx is not None and (break_idx is None or idx < break_idx):
+            idx = _index_of_occurrence(positions, k_done, p)
+            if break_idx is None or idx < break_idx:
                 break_idx = idx
-            served.append((u, v, positions, w))
+            served.append((u, v, positions))
 
         # second break: the tick the current preload batch drains to zero
         # (that tick must run normally — it schedules the next batch load)
         if net._program is not None and net._batch_remaining > 0:
             units = -(-net._batch_remaining // slot_bytes)
-            bidx = self._batch_break_index(tail, cycle, bslot, units)
+            bidx = self._batch_break_index(cycle, bslot, units)
             if bidx is not None and (break_idx is None or bidx < break_idx):
                 break_idx = bidx
 
@@ -468,33 +381,29 @@ class FastPath:
         ts1 = sl_ev.time
         j_m = 0 if ts1 >= end else (end - ts1 - 1) // sl_ps + 1
 
-        tdm = sched.tdm
-        if no_slots:
+        if not cycle:
             tdm.idle_ticks += m
         else:
             crossbar = net.crossbar
             assert crossbar is not None
             opps = 0
             moved_conns = 0
-            for s in sorted(slot_opps):
-                spos = [i for i, x in enumerate(tail) if x == s]
-                w_s0 = len(spos)
-                spos += [tau + i for i, x in enumerate(cycle) if x == s]
-                occ = _count_before(spos, m, tau, p, len(spos) - w_s0)
+            for i, s in enumerate(cycle):
+                occ = _count_before([i], m, p)
                 opps += occ * slot_opps[s]
                 moved_conns += occ * slot_moves[s]
             net._slot_opportunities += opps
             net._slot_transfers += moved_conns
             tdm.advances += m
-            last = tail[m - 1] if m - 1 < tau else cycle[(m - 1 - tau) % p]
+            last = cycle[(m - 1) % p]
             tdm.current = last
             # the event path reloads the active configuration every applied
             # slot; only the last load is observable
             crossbar.reconfigurations += m
             crossbar.active.load(regs.slots[last])
             byte_ps = net.params.byte_ps
-            for u, v, positions, w in served:
-                occ = _count_before(positions, m, tau, p, w)
+            for u, v, positions in served:
+                occ = _count_before(positions, m, p)
                 if occ == 0:
                     continue
                 moved, done = net.nics[u].voqs.drain(
@@ -506,15 +415,8 @@ class FastPath:
                     net._batch_remaining -= moved
 
         if j_m:
-            if dynamic:
-                # j_m inert passes: cursor and rotation advance, the passes
-                # are counted, and each one blocks the same |E| cells
-                sched._sl_cursor += j_m
-                sched.rotation.advance(j_m)
-                sched.counters.inc("passes", j_m)
-                sched.counters.inc("blocked", j_m * est_count)
-            else:
-                sched.counters.inc("passes_idle", j_m)
+            # j_m inert passes, each blocking the same |E| cells
+            sched.skip_inert_passes(j_m, est_count)
             sl_ev.cancel()
             self.sim.schedule_at(
                 ts1 + j_m * sl_ps, net._sl_tick, priority=Priority.SCHEDULER
@@ -535,26 +437,19 @@ class FastPath:
 
     @staticmethod
     def _batch_break_index(
-        tail: list[int], cycle: list[int], bslot: dict[int, int], units: int
+        cycle: list[int], bslot: dict[int, int], units: int
     ) -> int | None:
         """Tick index at which ``units`` batch-connection drains accumulate."""
-        acc = 0
-        for i, s in enumerate(tail):
-            acc += bslot.get(s, 0)
-            if acc >= units:
-                return i
-        per_cycle = sum(bslot.get(s, 0) for s in cycle)
+        per_cycle = sum(bslot[s] for s in cycle)
         if per_cycle == 0:
             return None
-        need = units - acc
-        full = (need - 1) // per_cycle
-        need -= full * per_cycle
+        full, need = divmod(units - 1, per_cycle)
         acc = 0
         for j, s in enumerate(cycle):
-            acc += bslot.get(s, 0)
-            if acc >= need:
-                return len(tail) + full * len(cycle) + j
-        return None  # pragma: no cover - need <= per_cycle by construction
+            acc += bslot[s]
+            if acc > need:
+                return full * len(cycle) + j
+        return None  # pragma: no cover - need < per_cycle by construction
 
     # -- the per-slot transfer ------------------------------------------------
 

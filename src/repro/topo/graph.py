@@ -224,12 +224,6 @@ class Topology:
         """Switches reachable from ``switch`` over at least one trunk."""
         return self._neighbors[switch]
 
-    def endpoints_of(self, switch: int) -> tuple[int, ...]:
-        """Endpoints attached to ``switch``, in endpoint order."""
-        return tuple(
-            e for e in range(self.n_endpoints) if self.endpoint_switch[e] == switch
-        )
-
     # -- deterministic path selection ----------------------------------------------
 
     def route(

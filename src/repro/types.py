@@ -17,7 +17,7 @@ Time is always an ``int`` number of **picoseconds** (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
@@ -168,9 +168,3 @@ class DropRecord:
     seq: int
     time_ps: int
     reason: str
-
-
-def iter_connections(messages: list[Message]) -> Iterator[Connection]:
-    """Yield the connection of each message, in order (with duplicates)."""
-    for m in messages:
-        yield m.connection
