@@ -36,7 +36,9 @@ __all__ = ["ConfigRegisterFile"]
 class ConfigRegisterFile:
     """``K`` slot configurations plus incrementally maintained ``B*``."""
 
-    __slots__ = ("n", "k", "slots", "_counts", "pinned", "stuck", "quarantined")
+    __slots__ = (
+        "n", "k", "slots", "_counts", "pinned", "stuck", "quarantined", "version"
+    )
 
     def __init__(self, n: int, k: int) -> None:
         if k < 1:
@@ -51,6 +53,9 @@ class ConfigRegisterFile:
         self.stuck: set[int] = set()
         #: slots taken out of service after fault detection
         self.quarantined: set[int] = set()
+        #: bumped by every mutator, so a reader can tell that nothing in
+        #: the file (slots, B*, pinned, stuck, quarantined) has changed
+        self.version = 0
 
     # -- slot access ----------------------------------------------------------
 
@@ -73,6 +78,7 @@ class ConfigRegisterFile:
     def establish(self, slot: int, u: int, v: int) -> None:
         """Establish (u, v) in ``slot`` and bump its presence count."""
         self._check_slot(slot)
+        self.version += 1
         if slot in self.quarantined:
             raise SchedulingError(
                 f"cannot establish ({u} -> {v}) in quarantined slot {slot}"
@@ -85,6 +91,7 @@ class ConfigRegisterFile:
     def release(self, slot: int, u: int, v: int) -> None:
         """Release (u, v) from ``slot`` and decrement its presence count."""
         self._check_slot(slot)
+        self.version += 1
         if slot in self.stuck:
             return  # stuck cells ignore writes
         self.slots[slot].release(u, v)
@@ -116,6 +123,7 @@ class ConfigRegisterFile:
         the dynamic scheduler will neither add to nor release from it.
         """
         self._check_slot(slot)
+        self.version += 1
         if slot in self.quarantined:
             raise SchedulingError(
                 f"cannot load a configuration into quarantined slot {slot}"
@@ -136,6 +144,7 @@ class ConfigRegisterFile:
     def clear_slot(self, slot: int) -> None:
         """Empty one slot (and unpin it)."""
         self._check_slot(slot)
+        self.version += 1
         if slot in self.quarantined:
             return  # already out of service; its counts are masked out
         if slot in self.stuck:
@@ -156,6 +165,7 @@ class ConfigRegisterFile:
     def set_stuck(self, slot: int, stuck: bool = True) -> None:
         """Mark a slot's register cells as (no longer) accepting writes."""
         self._check_slot(slot)
+        self.version += 1
         if stuck:
             self.stuck.add(slot)
         else:
@@ -172,6 +182,7 @@ class ConfigRegisterFile:
         in healthy slots.
         """
         self._check_slot(slot)
+        self.version += 1
         if slot in self.quarantined:
             return []
         evicted = list(self.slots[slot].connections())
@@ -184,6 +195,7 @@ class ConfigRegisterFile:
     def unpin(self, slot: int) -> None:
         """Hand a pinned slot back to the dynamic scheduler (keeps contents)."""
         self._check_slot(slot)
+        self.version += 1
         self.pinned.discard(slot)
 
     # -- queries ----------------------------------------------------------------

@@ -97,6 +97,7 @@ class CircuitNetwork(BaseNetwork):
         self.scheduler = Scheduler(self.params, k=1, rotation=rotation)
         self.scheduler.tracer = self.tracer
         self.scheduler.clock = lambda: self.sim.now
+        self.scheduler.strict = self.strict
         if self.fast:
             # circuit switching has no slot clock to batch, but its SL
             # passes can use the vectorised wavefront (bit-identical)
@@ -176,7 +177,7 @@ class CircuitNetwork(BaseNetwork):
         assert sched is not None
         if self.tracer.enabled and not sched.r_view[u, v]:
             self.tracer.record(self.sim.now, "req-rise", src=u, dst=v)
-        sched.r_view[u, v] = True
+        sched.set_request(u, v, True)
 
     def _request_down(self, u: int, v: int) -> None:
         sched = self.scheduler
@@ -188,7 +189,7 @@ class CircuitNetwork(BaseNetwork):
             return
         if self.tracer.enabled and sched.r_view[u, v]:
             self.tracer.record(self.sim.now, "req-drop", src=u, dst=v)
-        sched.r_view[u, v] = False
+        sched.set_request(u, v, False)
 
     # -- scheduler clock -----------------------------------------------------------
 
@@ -346,7 +347,7 @@ class CircuitNetwork(BaseNetwork):
     def lifecycle_mgmt_remap(self, u: int, v: int) -> bool:
         sched = self.scheduler
         assert sched is not None
-        sched.r_view[u, v] = True  # management refreshes the request latch
+        sched.set_request(u, v, True)  # management refreshes the request latch
         slot = sched.mgmt_establish(u, v)
         if slot is None:
             return False
@@ -375,7 +376,7 @@ class CircuitNetwork(BaseNetwork):
         self._fifo[u] = keep
         for m in victims:
             self._drop_message(m, "unrecoverable")
-        sched.r_view[u, v] = False
+        sched.set_request(u, v, False)
         self._advance_nic(u)
 
     def lifecycle_pinned_lost(self) -> None:
@@ -423,8 +424,7 @@ class CircuitNetwork(BaseNetwork):
                 to_advance.append(u)
         for m in victims:
             self._drop_message(m, "dead-link")
-        sched.r_view[port, :] = False
-        sched.r_view[:, port] = False
+        sched.drop_port(port)
         for u in to_advance:
             self._advance_nic(u)
 

@@ -216,6 +216,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             )
             sched.tracer = self.tracer
             sched.clock = lambda: self.sim.now
+            sched.strict = self.strict
             self.schedulers.append(sched)
         # Reference counts behind each scheduler's ``latched`` mask.  Two
         # circuits may legitimately hold the same (in, out) cell in different
@@ -350,7 +351,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self._rank[u, v] = self._next_rank
         self._next_rank += 1
         self._cell_fifo.setdefault(home, deque()).append((u, v))
-        self.schedulers[home[0]].r_view[home[1], home[2]] = True
+        self.schedulers[home[0]].set_request(home[1], home[2], True)
         if self.tracer.enabled:
             self.tracer.record(
                 self.sim.now, "req-rise", src=u, dst=v, hops=n_hops
@@ -446,14 +447,14 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         different slots, so the latch only drops with the last holder.
         """
         self._hold_count[w][i, o] += 1
-        self.schedulers[w].latched[i, o] = True
+        self.schedulers[w].latch(i, o)
 
     def _unlatch(self, w: int, i: int, o: int) -> None:
         count = self._hold_count[w]
         if count[i, o] > 0:
             count[i, o] -= 1
         if count[i, o] == 0:
-            self.schedulers[w].latched[i, o] = False
+            self.schedulers[w].latch(i, o, False)
 
     def _home_granted(self, w: int, i: int, o: int, slot: int, t: int) -> None:
         """The home switch's SL array granted cell (i, o) in ``slot``."""
@@ -536,7 +537,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         # head of the home queue again: the next home grant (a rotated
         # slot) retries it before younger circuits
         self._cell_fifo.setdefault(circ.home, deque()).appendleft(key)
-        self.schedulers[circ.home[0]].r_view[circ.home[1], circ.home[2]] = True
+        self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], True)
         if self.tracer.enabled:
             self.tracer.record(
                 self.sim.now, "circuit-nak", src=circ.u, dst=circ.v, naks=circ.naks
@@ -570,7 +571,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 if not fifo:
                     del self._cell_fifo[circ.home]
             if not self._cell_fifo.get(circ.home):
-                self.schedulers[circ.home[0]].r_view[circ.home[1], circ.home[2]] = False
+                self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], False)
             self._coordinated += 1
             self._finish_establish(circ, t, via="coordinator")
             return True
@@ -763,7 +764,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 fifo = None
         if fifo is None:
             # no other circuit waits on the home cell: the request drops
-            self.schedulers[circ.home[0]].r_view[circ.home[1], circ.home[2]] = False
+            self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], False)
         self._teardowns += 1
         if self.tracer.enabled:
             self.tracer.record(
@@ -898,7 +899,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         fifo = self._cell_fifo.setdefault(circ.home, deque())
         if key not in fifo:
             fifo.appendleft(key)
-        self.schedulers[circ.home[0]].r_view[circ.home[1], circ.home[2]] = True
+        self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], True)
         return False
 
     def lifecycle_give_up(self, u: int, v: int) -> None:

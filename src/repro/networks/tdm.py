@@ -206,6 +206,7 @@ class TdmNetwork(BaseNetwork):
             self.scheduler = Scheduler(self.params, self.k, rotation)
         self.scheduler.tracer = self.tracer
         self.scheduler.clock = lambda: self.sim.now
+        self.scheduler.strict = self.strict
         self.predictor = self.predictor_template or NullPredictor()
         self.crossbar = Crossbar(self.params, FabricTiming.lvds(self.params))
         if self.multislot_threshold_bytes is not None:
@@ -299,7 +300,7 @@ class TdmNetwork(BaseNetwork):
         if self.nics[u].voqs.bytes_pending[v] > 0:
             if self.tracer.enabled and not sched.r_view[u, v]:
                 self.tracer.record(self.sim.now, "req-rise", src=u, dst=v)
-            sched.r_view[u, v] = True
+            sched.set_request(u, v, True)
             if self._faults_active and not sched.established_anywhere(u, v):
                 self.lifecycle.arm(u, v)
 
@@ -542,7 +543,7 @@ class TdmNetwork(BaseNetwork):
         """Full refresh of the scheduler's request view (phase injection)."""
         sched = self.scheduler
         assert sched is not None
-        sched.r_view[:] = self.queue_bytes > 0
+        sched.set_requests(self.queue_bytes > 0)
         if self._faults_active:
             # blanket watchdog coverage: every pending connection gets a
             # NIC-side timeout so no fault can stall the phase unnoticed
@@ -557,12 +558,12 @@ class TdmNetwork(BaseNetwork):
         assert sched is not None
         if self.nics[u].voqs.bytes_pending[v] > 0:
             # a new phase refilled the queue while the drop was in flight
-            sched.r_view[u, v] = True
+            sched.set_request(u, v, True)
             return
         if self.tracer.enabled and sched.r_view[u, v]:
             self.tracer.record(self.sim.now, "req-drop", src=u, dst=v)
-        sched.r_view[u, v] = False
-        sched.latched[u, v] = hold
+        sched.set_request(u, v, False)
+        sched.latch(u, v, hold)
 
     # -- the TDM slot clock ---------------------------------------------------------------
 
@@ -623,7 +624,7 @@ class TdmNetwork(BaseNetwork):
                     if conn is not None:
                         # the Figure-1 predictor sits beside the scheduler,
                         # so the latch is set without a wire delay
-                        sched.latched[conn.src, conn.dst] = True
+                        sched.latch(conn.src, conn.dst)
                 if self.injection_window is not None:
                     self._feed_nic(u)
             if self.nics[u].voqs.bytes_pending[v] == 0:
@@ -652,11 +653,11 @@ class TdmNetwork(BaseNetwork):
         assert sched is not None
         t = self.sim.now
         for conn in self.predictor.expired(t):
-            sched.latched[conn.src, conn.dst] = False
+            sched.latch(conn.src, conn.dst, False)
         if self.prefetcher is not None:
             for conn in self.prefetcher.expired(t):
                 if not sched.r_view[conn.src, conn.dst]:
-                    sched.latched[conn.src, conn.dst] = False
+                    sched.latch(conn.src, conn.dst, False)
         if self.boost_policy is not None:
             self.boost_policy.update(self.queue_bytes)
             self.boost_policy.release_excess(self.queue_bytes)
@@ -716,7 +717,7 @@ class TdmNetwork(BaseNetwork):
     def lifecycle_mgmt_remap(self, u: int, v: int) -> bool:
         sched = self.scheduler
         assert sched is not None
-        sched.r_view[u, v] = True  # management refreshes the request latch
+        sched.set_request(u, v, True)  # management refreshes the request latch
         slot = sched.mgmt_establish(u, v)
         if slot is None:
             return False
@@ -743,8 +744,8 @@ class TdmNetwork(BaseNetwork):
             self._scripts[u] = keep
         for m in victims:
             self._drop_message(m, "unrecoverable")
-        sched.r_view[u, v] = False
-        sched.latched[u, v] = False
+        sched.set_request(u, v, False)
+        sched.latch(u, v, False)
         if self._scripts:
             for _ in range(len(removed)):
                 self._feed_nic(u)
@@ -786,10 +787,7 @@ class TdmNetwork(BaseNetwork):
                 self._scripts[u] = keep
         for m in victims:
             self._drop_message(m, "dead-link")
-        sched.r_view[port, :] = False
-        sched.r_view[:, port] = False
-        sched.latched[port, :] = False
-        sched.latched[:, port] = False
+        sched.drop_port(port)
         self.predictor.on_fault(port, self.sim.now)
         self.lifecycle.disarm_port(port)
         if self._scripts:

@@ -92,3 +92,6 @@ class ConstrainedScheduler(Scheduler):
                     outcome.blocked += 1
                     self.counters.inc("blocked_by_fabric")
         return outcome
+
+    def _rotation_draws(self, cells: int) -> int:
+        return 1 if cells else 0

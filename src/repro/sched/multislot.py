@@ -54,10 +54,9 @@ class QueueDepthBoostPolicy:
         sched = self.scheduler
         deep = queue_bytes > self.threshold_bytes
         counts = sched.registers.presence_counts()
-        # boost while the backlog is deep and the allocation is under cap
-        sched.boost[:] = deep & (counts < self.max_slots)
-        # never boost a connection that is not requested at all
-        sched.boost &= sched.r_view
+        # boost while the backlog is deep and the allocation is under cap,
+        # never a connection that is not requested at all
+        sched.set_boost(deep & (counts < self.max_slots) & sched.r_view)
 
     def release_excess(self, queue_bytes: np.ndarray) -> int:
         """Release surplus slots of connections whose backlog drained.

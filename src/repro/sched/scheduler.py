@@ -14,6 +14,11 @@ One :class:`Scheduler` owns:
 Each call to :meth:`sl_pass` models one SL clock period: pick a slot,
 evaluate Table 1, run the SL array, and apply the resulting toggles.  The
 caller (the TDM network model) invokes it every ``scheduler_pass_ps``.
+
+The scheduler is the only writer of the state a pass reads: the request
+matrices are read-only views written through its setters, and the
+register file counts its own writes.  That lets :meth:`sl_pass` replay a
+pass that toggled nothing instead of evaluating it again.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SchedulingError
+from ..errors import InvariantError, SchedulingError
 from ..fabric.config import ConfigMatrix
 from ..fabric.registers import ConfigRegisterFile
 from ..params import SystemParams
@@ -34,6 +39,12 @@ from .slarray import PassOutcome, wavefront_sparse
 from .tdm import TdmCounter
 
 __all__ = ["Scheduler", "SchedulerPass"]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(slots=True, frozen=True)
@@ -62,15 +73,27 @@ class Scheduler:
         self.registers = ConfigRegisterFile(n, k)
         self.tdm = TdmCounter(self.registers)
         self.rotation = rotation if rotation is not None else FixedPriority(n)
+        # The request plane is written only through the setters below, each
+        # of which bumps ``_generation`` when a value changes; the public
+        # matrices are read-only views, so a stray write raises instead of
+        # leaving the pass memo stale.
+        self._requests = np.zeros((n, n), dtype=bool)
+        self._latches = np.zeros((n, n), dtype=bool)
+        self._boost = np.zeros((n, n), dtype=bool)
+        self._dead: np.ndarray | None = None
         #: the scheduler's (wire-delayed) view of the request matrix
-        self.r_view = np.zeros((n, n), dtype=bool)
+        self.r_view = _read_only(self._requests)
         #: request latches — extension 3 (predictor-held connections)
-        self.latched = np.zeros((n, n), dtype=bool)
+        self.latched = _read_only(self._latches)
         #: multi-slot boost mask — extension 2
-        self.boost = np.zeros((n, n), dtype=bool)
+        self.boost = _read_only(self._boost)
         #: dead SL cells (fault model): cell (u, v) can no longer toggle,
         #: so connection (u, v) is invisible to the dynamic scheduler
         self.dead_cells: np.ndarray | None = None
+        self._generation = 0
+        #: slot -> ((generation, register version), blocked, rotation draws)
+        #: of the last pass over that slot that toggled nothing
+        self._memo: dict[int, tuple[tuple[int, int], int, int]] = {}
         self._sl_cursor = 0
         #: wavefront evaluator — `wavefront_sparse` by default; the
         #: slot-synchronous fast path swaps in `wavefront_batch` (the two
@@ -82,6 +105,8 @@ class Scheduler:
         #: their constructors unchanged)
         self.tracer = NULL_TRACER
         self.clock = lambda: 0
+        #: set by the owning network model: audit every memo hit
+        self.strict = False
 
     # -- request plane ---------------------------------------------------------
 
@@ -95,14 +120,40 @@ class Scheduler:
 
     def set_request(self, u: int, v: int, value: bool) -> None:
         """Update one bit of the scheduler's request view."""
-        self.r_view[u, v] = value
+        if self._requests.item(u, v) != value:  # item(): no numpy scalar
+            self._requests[u, v] = value
+            self._generation += 1
+
+    def set_requests(self, mask: np.ndarray) -> None:
+        """Replace the whole request view (a full refresh)."""
+        if not np.array_equal(self._requests, mask):
+            self._requests[:] = mask
+            self._generation += 1
 
     def latch(self, u: int, v: int, value: bool = True) -> None:
         """Hold (or stop holding) connection (u, v) past its request drop."""
-        self.latched[u, v] = value
+        if self._latches.item(u, v) != value:
+            self._latches[u, v] = value
+            self._generation += 1
 
     def clear_latches(self) -> None:
-        self.latched[:] = False
+        if self._latches.any():
+            self._latches[:] = False
+            self._generation += 1
+
+    def drop_port(self, port: int) -> None:
+        """Clear every request and latch to or from ``port`` (a dead link)."""
+        for m in (self._requests, self._latches):
+            if m[port, :].any() or m[:, port].any():
+                m[port, :] = False
+                m[:, port] = False
+                self._generation += 1
+
+    def set_boost(self, mask: np.ndarray) -> None:
+        """Replace the multi-slot boost mask (extension 2)."""
+        if not np.array_equal(self._boost, mask):
+            self._boost[:] = mask
+            self._generation += 1
 
     # -- compiled-communication plane (extensions 4 & 5) ------------------------
 
@@ -137,9 +188,12 @@ class Scheduler:
         management plane must place the connection directly
         (:meth:`mgmt_establish`).
         """
-        if self.dead_cells is None:
-            self.dead_cells = np.zeros((self.n, self.n), dtype=bool)
-        self.dead_cells[u, v] = True
+        if self._dead is None:
+            self._dead = np.zeros((self.n, self.n), dtype=bool)
+            self.dead_cells = _read_only(self._dead)
+        if not self._dead[u, v]:
+            self._dead[u, v] = True
+            self._generation += 1
         self.counters.inc("sl_cells_dead")
 
     def quarantine_slot(self, slot: int) -> list:
@@ -184,7 +238,14 @@ class Scheduler:
         return slot
 
     def sl_pass(self, slot: int | None = None) -> SchedulerPass:
-        """One SL clock period: schedule insertions/releases for one slot."""
+        """One SL clock period: schedule insertions/releases for one slot.
+
+        A pass that toggles nothing moves no A/D signal, so each of its L
+        cells was blocked by port occupancy alone.  Until the request plane
+        or the register file changes, the next pass over the same slot
+        repeats it exactly; such a pass is replayed from the memo — its
+        rotation draws, counters and trace record — without evaluating L.
+        """
         if slot is None:
             slot = self.next_dynamic_slot()
             if slot is None:
@@ -201,24 +262,63 @@ class Scheduler:
                 f"quarantined after a fault"
             )
 
-        cfg = self.registers[slot]
-        pres = compute_l(
-            self.r_view,
-            cfg.b,
-            self.registers.b_star,
-            boost=self.boost if self.boost.any() else None,
-            hold=self.latched if self.latched.any() else None,
-        )
-        l = pres.l
-        if self.dead_cells is not None:
-            l = l & ~self.dead_cells
-        rows, cols = np.nonzero(l)
-        outcome = self._evaluate(slot, cfg, rows, cols)
+        # The memo key is read before the pass: a pass that writes any
+        # register (even a trial establish it takes back) moves the version
+        # past it, so only passes that changed nothing can be replayed.
+        key = (self._generation, self.registers.version)
+        memo = self._memo.get(slot)
+        if memo is not None and memo[0] == key:
+            _, blocked, draws = memo
+            if self.strict:
+                self._audit_memo_hit(slot, blocked)
+            for _ in range(draws):
+                self.rotation.next_rotation()
+            outcome = PassOutcome(blocked=blocked)
+        else:
+            cfg = self.registers[slot]
+            rows, cols = np.nonzero(self._l_matrix(cfg))
+            outcome = self._evaluate(slot, cfg, rows, cols)
+            if not outcome.toggles:
+                self._memo[slot] = (key, outcome.blocked, self._rotation_draws(len(rows)))
         self.counters.inc("passes")
         self.counters.inc("blocked", outcome.blocked)
         if self.tracer.enabled:
             self._trace_pass(slot, outcome)
         return SchedulerPass(slot, outcome)
+
+    def _l_matrix(self, cfg: ConfigMatrix) -> np.ndarray:
+        """Table 1 for one slot, with the dead SL cells masked out."""
+        l = compute_l(
+            self.r_view,
+            cfg.b,
+            self.registers.b_star,
+            boost=self.boost if self.boost.any() else None,
+            hold=self.latched if self.latched.any() else None,
+        ).l
+        if self.dead_cells is not None:
+            l = l & ~self.dead_cells
+        return l
+
+    def _audit_memo_hit(self, slot: int, blocked: int) -> None:
+        """Strict mode: re-derive that a replayed pass really is inert.
+
+        A pass toggles nothing exactly when L holds no release cell and
+        every L cell lacks a free input or a free output in the slot; it
+        then blocks every L cell, whatever the rotation.
+        """
+        cfg = self.registers[slot]
+        l = self._l_matrix(cfg)
+        free = ~cfg.input_busy()[:, None] & ~cfg.output_busy()[None, :]
+        cells = int(np.count_nonzero(l))
+        if np.any(l & cfg.b) or np.any(l & free) or cells != blocked:
+            raise InvariantError(
+                f"memoised SL pass on slot {slot} is not inert: L holds "
+                f"{cells} cells, the memo replays {blocked} as blocked"
+            )
+
+    def _rotation_draws(self, cells: int) -> int:
+        """Rotations :meth:`_evaluate` draws for an L with ``cells`` cells."""
+        return 1
 
     def _evaluate(
         self, slot: int, cfg: ConfigMatrix, rows: np.ndarray, cols: np.ndarray

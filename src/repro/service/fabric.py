@@ -77,6 +77,7 @@ class LiveFabric(BaseNetwork):
         self.scheduler = Scheduler(params, cfg.k)
         self.scheduler.tracer = self.tracer
         self.scheduler.clock = lambda: self.sim.now
+        self.scheduler.strict = self.strict
         #: pairs currently resident in pinned (preloaded) slots
         self.preloaded_pairs: set[tuple[int, int]] = set()
         #: circuits left behind in stuck slots by a failed teardown

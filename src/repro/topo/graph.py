@@ -140,8 +140,6 @@ class Topology:
         # trunk groups: (a, b) with a < b -> the parallel links' indices
         trunks: dict[tuple[int, int], list[int]] = {}
         for link in links:
-            if link.index != links.index(link):
-                pass  # indices are validated below by position instead
             trunks.setdefault((link.a, link.b), []).append(link.index)
         self._trunks: dict[tuple[int, int], tuple[int, ...]] = {
             pair: tuple(ids) for pair, ids in trunks.items()

@@ -96,7 +96,7 @@ def test_scheduler_long_run_invariants(trace):
         # a connection never occupies two slots without the boost extension
         assert sched.registers.presence_counts().max(initial=0) <= 1
     # eventually quiescent: drop all requests and run k passes per slot
-    sched.r_view[:] = False
+    sched.set_requests(np.zeros_like(sched.r_view))
     for _ in range(2 * sched.k):
         sched.sl_pass()
     assert not sched.registers.b_star.any()
