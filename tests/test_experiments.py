@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.ablations import ablation_fabrics
 from repro.experiments.common import figure4_schemes, measure
 from repro.experiments.faults import run_faults
 from repro.experiments.figure4 import figure4_patterns, run_figure4
@@ -144,3 +145,15 @@ class TestFaultsDriver:
         assert "faults_per_us,wormhole:delivered" in result.csv()
         with pytest.raises(KeyError):
             result.point("wormhole", 99.0)
+
+
+class TestFabricAblation:
+    def test_a10_efficiencies_are_pinned(self, params):
+        """A10 at 16 ports, exactly: any change to the Omega or fat-tree
+        constraint predicate that alters a scheduling decision moves a
+        value here (two runs of one tree cannot show that)."""
+        assert ablation_fabrics(params) == {
+            "crossbar": 0.3076923076923077,
+            "omega": 0.25806451612903225,
+            "fat-tree-4to1": 0.1951219512195122,
+        }

@@ -51,10 +51,14 @@ class TestFatTree:
         assert topo.diameter() == 3
 
     def test_taper_thins_spines(self):
-        full = fat_tree(64, leaf_size=16, taper=1)
-        thin = fat_tree(64, leaf_size=16, taper=4)
-        assert thin.n_switches < full.n_switches
-        assert thin.diameter() == 3
+        """The spine count is exactly ``max(1, leaf_size // taper)``; the
+        mesh-a2a golden digests depend on it."""
+        n_leaves = 4
+        for taper, n_spines in ((1, 16), (2, 8), (4, 4), (16, 1), (32, 1)):
+            topo = fat_tree(64, leaf_size=16, taper=taper)
+            assert topo.n_switches - n_leaves == n_spines
+            assert topo.n_links == n_leaves * n_spines
+            assert topo.diameter() == 3
 
     def test_endpoints_on_leaves_only(self):
         topo = fat_tree(64, leaf_size=16, taper=1)
