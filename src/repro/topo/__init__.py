@@ -1,6 +1,13 @@
 """Switch-graph topology layer: graphs, port maps, deterministic routing."""
 
-from .builders import fat_tree, full_mesh, line
+from .builders import binary_fat_tree, fat_tree, full_mesh, line
 from .graph import Topology, TrunkLink
 
-__all__ = ["Topology", "TrunkLink", "fat_tree", "full_mesh", "line"]
+__all__ = [
+    "Topology",
+    "TrunkLink",
+    "binary_fat_tree",
+    "fat_tree",
+    "full_mesh",
+    "line",
+]
