@@ -11,7 +11,10 @@ This example explores both canonical cases on 16 ports:
   (the multistage analogue of raising the multiplexing degree);
 * a **Benes** network — rearrangeably non-blocking: the looping algorithm
   routes *any* permutation, and we verify the computed 2x2 switch
-  settings by tracing every input.
+  settings by tracing every input;
+* a tapered **binary fat tree** (``repro.topo.binary_fat_tree``) — trunk
+  capacity, not permutation, is the constraint: we count the greedy
+  passes random permutations need as the taper thins the upper levels.
 
 Run:  python examples/multistage_fabrics.py
 """
@@ -19,8 +22,9 @@ Run:  python examples/multistage_fabrics.py
 import numpy as np
 
 from repro.fabric.config import ConfigMatrix
-from repro.fabric.fattree import FatTree
 from repro.fabric.multistage import BenesNetwork, OmegaNetwork
+from repro.sched.constrained import partition
+from repro.topo import binary_fat_tree
 
 
 def main() -> None:
@@ -37,7 +41,7 @@ def main() -> None:
         cfg = ConfigMatrix.from_permutation(perm)
         if omega.is_realizable(cfg):
             realizable += 1
-        passes_needed.append(len(omega.partition(cfg)))
+        passes_needed.append(len(partition(omega, cfg)))
     print(f"Omega network, {n} ports, {trials} random permutations:")
     print(f"  realizable in one pass : {realizable / trials:7.1%}")
     print(f"  mean greedy passes     : {np.mean(passes_needed):7.2f}")
@@ -69,9 +73,9 @@ def main() -> None:
     # -- fat tree: capacity, not permutation, is the constraint ---------------
     print(f"\nFat trees, {n} leaves, random permutations:")
     for taper in (1, 2, 4):
-        ft = FatTree(n, taper=taper)
+        ft = binary_fat_tree(n, taper=taper)
         passes = [
-            len(ft.partition(ConfigMatrix.from_permutation(
+            len(partition(ft, ConfigMatrix.from_permutation(
                 [int(x) for x in rng.permutation(n)])))
             for _ in range(trials)
         ]

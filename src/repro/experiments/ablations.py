@@ -394,8 +394,8 @@ def ablation_fabrics(
     Restricted fabrics reject insertions (counted as fabric blocks), which
     lowers efficiency exactly where the topology is oversubscribed.
     """
-    from ..fabric.fattree import FatTree
     from ..fabric.multistage import OmegaNetwork
+    from ..topo import binary_fat_tree
 
     # the constraint checkers walk per-connection routes in Python, so run
     # this ablation at a moderate size regardless of the global default
@@ -405,7 +405,7 @@ def ablation_fabrics(
     for label, constraint in (
         ("crossbar", None),
         ("omega", OmegaNetwork(n)),
-        ("fat-tree-4to1", FatTree(n, taper=4)),
+        ("fat-tree-4to1", binary_fat_tree(n, taper=4)),
     ):
         net = _net(
             "dynamic-tdm",

@@ -10,7 +10,9 @@ implements the two canonical cases:
   a configuration is realisable iff the destination-tag routes of all its
   connections are link-disjoint.  This yields the *constraint predicate*
   that would replace the simple one-per-row/column crossbar rule in the
-  pre-scheduling logic.
+  pre-scheduling logic (:class:`repro.sched.ConstrainedScheduler`), and
+  :func:`repro.sched.partition` splits a configuration into
+  Omega-realisable passes.
 * :class:`BenesNetwork` — a rearrangeably non-blocking network: *every*
   partial permutation is realisable, and the classic looping algorithm
   computes explicit 2x2 switch settings.
@@ -86,29 +88,6 @@ class OmegaNetwork:
                     clashes.add(link)
                 seen[link] = u
         return sorted(clashes)
-
-    def partition(self, config: ConfigMatrix) -> list[ConfigMatrix]:
-        """Greedy split of a configuration into Omega-realisable passes.
-
-        This is the multistage analogue of raising the multiplexing degree:
-        each returned configuration is conflict-free on this network.
-        """
-        remaining = list(config.connections())
-        passes: list[ConfigMatrix] = []
-        while remaining:
-            used: set[tuple[int, int]] = set()
-            taken = ConfigMatrix(self.n)
-            leftover = []
-            for u, v in remaining:
-                links = set(self.route(u, v))
-                if links & used:
-                    leftover.append((u, v))
-                else:
-                    used |= links
-                    taken.establish(u, v)
-            passes.append(taken)
-            remaining = leftover
-        return passes
 
 
 class BenesNetwork:

@@ -1,6 +1,6 @@
 """Scheduler substrate: pre-scheduling logic, SL array, TDM counter, scheduler."""
 
-from .constrained import ConstrainedScheduler, FabricConstraint
+from .constrained import ConstrainedScheduler, FabricConstraint, partition
 from .multislot import QueueDepthBoostPolicy
 from .multiunit import MultiUnitScheduler
 from .presched import PreschedResult, compute_l
@@ -18,6 +18,7 @@ from .tdm import TdmCounter
 __all__ = [
     "ConstrainedScheduler",
     "FabricConstraint",
+    "partition",
     "QueueDepthBoostPolicy",
     "MultiUnitScheduler",
     "PreschedResult",

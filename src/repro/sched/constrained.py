@@ -14,16 +14,20 @@ latches, priority rotation) and the whole pass of
 step that evaluates the L cells: the SL array's port-availability
 wavefront becomes a greedy feasibility check against a **fabric constraint**
 object — anything with ``is_realizable(config) -> bool``, e.g.
-:class:`repro.fabric.multistage.OmegaNetwork` or
-:class:`repro.fabric.fattree.FatTree`.  Candidates are visited in the same
-rotated row-major order as the SL array, releases free resources for later
-candidates, and an establish is accepted only if the slot configuration
-stays realisable, so every invariant of the crossbar scheduler carries
-over.
+:class:`repro.fabric.multistage.OmegaNetwork` (link-disjoint routes) or
+any :class:`repro.topo.Topology`, whose predicate is per-hop trunk
+capacity along its routes; :func:`repro.topo.binary_fat_tree` builds the
+tapered fat tree.  Candidates are visited in the same rotated row-major
+order as the SL array, releases free resources for later candidates, and
+an establish is accepted only if the slot configuration stays
+realisable, so every invariant of the crossbar scheduler carries over.
+:func:`partition` is the same greedy rule applied offline: it splits one
+configuration into realisable passes.
 
 (The crossbar itself corresponds to the trivial constraint that
-:class:`~repro.fabric.config.ConfigMatrix` already enforces — for it, the
-systolic SL array of :mod:`repro.sched.slarray` is the efficient
+:class:`~repro.fabric.config.ConfigMatrix` already enforces —
+``Topology.single_switch(n)`` admits every partial permutation.  For it
+the systolic SL array of :mod:`repro.sched.slarray` is the efficient
 implementation; this class is the generalisation, not a replacement.)
 """
 
@@ -33,19 +37,49 @@ from typing import Protocol
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..fabric.config import ConfigMatrix
 from ..params import SystemParams
+from ..types import Connection
 from .priority import RotationPolicy
 from .scheduler import Scheduler
 from .slarray import PassOutcome, Toggle
 
-__all__ = ["FabricConstraint", "ConstrainedScheduler"]
+__all__ = ["FabricConstraint", "ConstrainedScheduler", "partition"]
 
 
 class FabricConstraint(Protocol):
     """Anything that can veto a slot configuration."""
 
     def is_realizable(self, config: ConfigMatrix) -> bool: ...
+
+
+def partition(
+    constraint: FabricConstraint, config: ConfigMatrix
+) -> list[ConfigMatrix]:
+    """Greedy split of ``config`` into passes ``constraint`` realises.
+
+    The fabric analogue of raising the multiplexing degree.  Each
+    connection, in order, joins the current pass; if the pass is then
+    unrealisable the connection leaves it again and waits for the next.
+    """
+    remaining = list(config.connections())
+    passes: list[ConfigMatrix] = []
+    while remaining:
+        taken = ConfigMatrix(config.n)
+        leftover: list[Connection] = []
+        for u, v in remaining:
+            taken.establish(u, v)
+            if not constraint.is_realizable(taken):
+                taken.release(u, v)
+                leftover.append(Connection(u, v))
+        if len(leftover) == len(remaining):
+            raise ConfigurationError(
+                f"the fabric cannot realise connection {tuple(remaining[0])} alone"
+            )
+        passes.append(taken)
+        remaining = leftover
+    return passes
 
 
 class ConstrainedScheduler(Scheduler):

@@ -284,7 +284,7 @@ class TestExtensionsEndToEnd:
         assert result.counters["prefetch_hits"] > result.counters["prefetch_misses"]
 
     def test_fabric_constraint_network(self, params):
-        from repro.fabric.fattree import FatTree
+        from repro.topo import binary_fat_tree
 
         pattern = UniformRandomPattern(8, 64, messages_per_node=4)
         net = TdmNetwork(
@@ -292,17 +292,17 @@ class TestExtensionsEndToEnd:
             k=4,
             mode="dynamic",
             injection_window=4,
-            fabric_constraint=FatTree(8, taper=8),
+            fabric_constraint=binary_fat_tree(8, taper=8),
         )
         result = _run(net, pattern)
         assert len(result.records) == 32  # everything still delivered
 
     def test_constraint_and_multiunit_exclusive(self, params):
-        from repro.fabric.fattree import FatTree
+        from repro.topo import binary_fat_tree
 
         with pytest.raises(ConfigurationError):
             TdmNetwork(
-                params, k=4, n_sl_units=2, fabric_constraint=FatTree(8)
+                params, k=4, n_sl_units=2, fabric_constraint=binary_fat_tree(8)
             )
 
     def test_guard_band_network(self):

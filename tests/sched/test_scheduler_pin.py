@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.fabric.config import ConfigMatrix
-from repro.fabric.fattree import FatTree
 from repro.fabric.multistage import OmegaNetwork
 from repro.params import PAPER_PARAMS
 from repro.sched.constrained import ConstrainedScheduler
@@ -37,6 +36,7 @@ from repro.sched.priority import (
     RoundRobinPriority,
 )
 from repro.sched.scheduler import Scheduler, SchedulerPass
+from repro.topo import binary_fat_tree
 
 FIXTURE = Path(__file__).parent / "data" / "scheduler_pin.json"
 N = 16
@@ -52,7 +52,9 @@ class _Permissive:
 
 SCHEDULERS = {
     "omega": lambda rot: ConstrainedScheduler(PARAMS, K, OmegaNetwork(N), rot),
-    "fattree": lambda rot: ConstrainedScheduler(PARAMS, K, FatTree(N, taper=4), rot),
+    "fattree": lambda rot: ConstrainedScheduler(
+        PARAMS, K, binary_fat_tree(N, taper=4), rot
+    ),
     "permissive": lambda rot: ConstrainedScheduler(PARAMS, K, _Permissive(), rot),
     "units2": lambda rot: MultiUnitScheduler(PARAMS, K, 2, rot),
     "units3": lambda rot: MultiUnitScheduler(PARAMS, K, 3, rot),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.sim.clock import ns, us
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
-from repro.fabric.fattree import FatTree
 from repro.networks.tdm import TdmNetwork
 from repro.params import PAPER_PARAMS
 from repro.predict import TimeoutPredictor
@@ -22,6 +21,7 @@ from repro.sched.slarray import wavefront_batch, wavefront_sparse
 from repro.sim.fastpath import FAST_ENV_VAR, fast_from_env, fastpath_ineligible
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
+from repro.topo import binary_fat_tree
 from repro.traffic.mesh import OrderedMeshPattern
 from repro.traffic.scatter import ScatterPattern
 from repro.traffic.synthetic import UniformRandomPattern
@@ -266,7 +266,7 @@ class TestEligibility:
         assert_windows_never_open(net)
 
     def test_constrained_scheduler_ineligible(self):
-        net = TdmNetwork(P8, k=4, fabric_constraint=FatTree(8), fast=True)
+        net = TdmNetwork(P8, k=4, fabric_constraint=binary_fat_tree(8), fast=True)
         net.run(ScatterPattern(8, size_bytes=256).phases(RngStreams(1)))
         assert_windows_never_open(net)
 
