@@ -2,7 +2,6 @@
 
 from .config import ConfigMatrix
 from .crossbar import Crossbar
-from .fattree import FatTree
 from .multistage import BenesNetwork, OmegaNetwork, is_power_of_two
 from .registers import ConfigRegisterFile
 from .timing import FabricTechnology, FabricTiming
@@ -10,7 +9,6 @@ from .timing import FabricTechnology, FabricTiming
 __all__ = [
     "ConfigMatrix",
     "Crossbar",
-    "FatTree",
     "BenesNetwork",
     "OmegaNetwork",
     "is_power_of_two",
