@@ -112,6 +112,16 @@ class TestRouting:
         mask = np.zeros(topo.n_links, dtype=bool)
         assert topo.route(0, 1, mask) is None
 
+    def test_masked_routes_do_not_leak_into_unmasked_ones(self):
+        import numpy as np
+
+        topo = full_mesh(12, n_switches=3, links_per_pair=1)
+        assert topo.route(0, 4) == (0, 1)
+        mask = np.ones(topo.n_links, dtype=bool)
+        mask[list(topo.trunk_links(0, 1))] = False
+        assert topo.route(0, 4, mask) == (0, 2, 1)
+        assert topo.route(0, 4) == (0, 1)
+
     def test_fattree_routes_climb_one_spine(self):
         topo = fat_tree(64, leaf_size=16, taper=1)
         assert topo.diameter() == 3
