@@ -73,16 +73,17 @@ def test_fastpath_small_tdm_run(benchmark):
     """The slot-synchronous kernel on a streaming workload.
 
     Long per-destination streams give the quiescent-window machinery room
-    to work; the point must match the event path bit-for-bit (the identity
-    itself is CI-enforced and covered by tests/sim/test_fastpath.py — the
-    assert here just pins that windows actually opened, so this bench
-    keeps measuring the fast path rather than a silent fallback).
+    to work; the point must match the strict tick-by-tick run bit-for-bit
+    (the identity itself is CI-enforced and covered by
+    tests/sim/test_fastpath.py — the assert here just pins that windows
+    actually opened, so this bench keeps measuring the windowed path
+    rather than a silent fallback).
     """
     params = PAPER_PARAMS.with_overrides(n_ports=16)
 
     def run():
         net = build_network(
-            RunSpec("dynamic-tdm", params, k=4, injection_window=4, fast=True)
+            RunSpec("dynamic-tdm", params, k=4, injection_window=4, strict=False)
         )
         point = measure(ScatterPattern(16, 2048), net)
         assert net._fastpath is not None

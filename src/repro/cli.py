@@ -24,12 +24,18 @@ cell results from ``~/.cache/repro`` (``$REPRO_CACHE_DIR``); output is
 bit-identical for any job count and cache state.  ``--no-cache`` runs
 cold, ``--refresh`` recomputes and overwrites, ``--exec-stats`` prints
 the executor telemetry to stderr.
+
+Single-crossbar TDM runs always apply provably quiescent stretches of
+slot and SL ticks in closed form, and circuit runs evaluate their SL
+passes with the vectorised wavefront (:mod:`repro.sim.fastpath`; the old
+``--fast`` flag is gone).  ``REPRO_STRICT=1`` runs every tick through the
+event heap instead, with extra invariant checks: it is the reference,
+and its output is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -50,7 +56,6 @@ from .experiments.table3 import format_table3
 from .metrics.report import format_table
 from .networks.multihop import MultiHopModel
 from .params import PAPER_PARAMS, SystemParams
-from .sim.fastpath import FAST_ENV_VAR
 
 __all__ = ["main"]
 
@@ -485,6 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate artifacts from 'Switch Design to Enable "
         "Predictive Multiplexed Switching in Multiprocessor Networks' (IPPS 2005)",
+        epilog="Single-crossbar TDM runs skip provably quiescent slot and SL "
+        "ticks by default (there is no --fast flag). Set REPRO_STRICT=1 to "
+        "run every tick with invariant checks: the byte-identical reference.",
     )
     from . import __version__
 
@@ -493,12 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--ports", type=int, default=128, help="system size (default 128)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="workload seed")
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="slot-synchronous fast execution for the TDM schemes "
-        "(byte-identical output; sets REPRO_FAST=1 so sweep workers inherit it)",
-    )
     # the engine knobs are accepted both before and after the subcommand
     # (the parent parser uses SUPPRESS so a subcommand-position flag wins
     # and an absent one does not clobber the top-level value)
@@ -737,10 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "fast", False):
-        # the environment route reaches every construction site, including
-        # the sweep executor's worker processes (they inherit the environ)
-        os.environ[FAST_ENV_VAR] = "1"
     return args.fn(args)
 
 

@@ -30,7 +30,6 @@ from ..faults.schedule import FaultSchedule
 from ..networks.base import RunResult
 from ..networks.registry import RunSpec, build_network, get_scheme
 from ..params import PAPER_PARAMS, SystemParams
-from ..sim.fastpath import MULTI_SWITCH_FALLBACK
 from ..sim.rng import RngStreams
 from ..traffic.base import TrafficPhase
 from ..types import Message
@@ -103,10 +102,9 @@ class ScaleoutPoint:
     recovery_mean_ps: int
     recovery_max_ps: int
     events: int
-    #: 1 when fast mode was requested but the cell ran the event path.
-    #: Summary-only (``format``): the CSV must stay byte-identical between
-    #: fast and non-fast invocations — that identity *is* the fallback's
-    #: correctness contract, checked in CI.
+    #: always 0: multi-switch runs are ineligible for the slot-synchronous
+    #: shortcuts and always run tick by tick.  Kept so the field order (and
+    #: any hash of ``astuple(point)``) stays stable; in no CSV column.
     fastpath_fallbacks: int = 0
 
     @property
@@ -214,7 +212,6 @@ def run_scaleout_cell(cell: ScaleoutCell) -> ScaleoutPoint:
         recovery_mean_ps=sum(recoveries) // max(1, len(recoveries)),
         recovery_max_ps=max(recoveries, default=0),
         events=c["events"],
-        fastpath_fallbacks=c.get("fastpath_fallback", 0),
     )
 
 
@@ -257,12 +254,6 @@ class ScaleoutResult:
                 f"{p.diameter:>4} {p.est_mean_ps // 1000:>11} "
                 f"{p.est_max_ps // 1000:>10} {p.slot_utilization:>9.3f} "
                 f"{p.recovery_mean_ps // 1000:>13} {p.dropped:>7}"
-            )
-        fallbacks = sum(p.fastpath_fallbacks for p in self.points)
-        if fallbacks:
-            out.append(
-                f"fast mode: {fallbacks}/{len(self.points)} cells fell back "
-                f"to the event path ({MULTI_SWITCH_FALLBACK})"
             )
         return "\n".join(out)
 

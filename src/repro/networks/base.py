@@ -388,14 +388,15 @@ class BaseNetwork(ABC):
         self._phase_remaining -= 1
         if self._phase_remaining < 0:  # pragma: no cover
             raise SimulationError("delivered more messages than injected")
-        self.tracer.record(
-            record.done_ps,
-            "deliver",
-            src=record.src,
-            dst=record.dst,
-            size=record.size,
-            seq=record.seq,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                record.done_ps,
+                "deliver",
+                src=record.src,
+                dst=record.dst,
+                size=record.size,
+                seq=record.seq,
+            )
         if self.phase_done and self.stop_when_drained:
             self.sim.stop()
 
@@ -426,9 +427,10 @@ class BaseNetwork(ABC):
         self._phase_remaining -= 1
         if self._phase_remaining < 0:  # pragma: no cover
             raise SimulationError("dropped more messages than injected")
-        self.tracer.record(
-            self.sim.now, "drop", src=msg.src, dst=msg.dst, size=msg.size, seq=msg.seq
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                self.sim.now, "drop", src=msg.src, dst=msg.dst, size=msg.size, seq=msg.seq
+            )
         if self._phase_remaining == 0:
             self.sim.stop()
 

@@ -32,7 +32,7 @@ from ..sched.priority import RotationPolicy, RoundRobinPriority
 from ..sched.scheduler import Scheduler
 from ..sched.slarray import wavefront_batch
 from ..sim.engine import Priority
-from ..sim.fastpath import fast_from_env
+from ..sim.fastpath import fastpath_ineligible
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
@@ -58,7 +58,6 @@ class CircuitNetwork(BaseNetwork):
         rotation: RotationPolicy | None = None,
         tracer: Tracer | None = None,
         faults: FaultInjector | None = None,
-        fast: bool | None = None,
         strict: bool | None = None,
         max_wall_s: float | None = None,
         topology: Topology | None = None,
@@ -77,11 +76,6 @@ class CircuitNetwork(BaseNetwork):
                 f"{self.topology.name!r} has {self.topology.n_switches} "
                 f"switches (use the mesh-tdm / fattree-tdm schemes)"
             )
-        #: circuit switching has no periodic slot clock, so there are no
-        #: slot-synchronous windows (repro.sim.fastpath); fast mode only
-        #: swaps in the bit-identical batch wavefront.  None defers to the
-        #: REPRO_FAST environment variable, as for the TDM schemes
-        self.fast = fast_from_env() if fast is None else bool(fast)
         self.rotation_template = rotation
         self.scheduler: Scheduler | None = None
         self._fifo: list[deque[Message]] = []
@@ -98,9 +92,10 @@ class CircuitNetwork(BaseNetwork):
         self.scheduler.tracer = self.tracer
         self.scheduler.clock = lambda: self.sim.now
         self.scheduler.strict = self.strict
-        if self.fast:
+        if fastpath_ineligible(self) is None:
             # circuit switching has no slot clock to batch, but its SL
-            # passes can use the vectorised wavefront (bit-identical)
+            # passes can use the vectorised wavefront (bit-identical); strict,
+            # traced and faulted runs keep the sparse reference walk
             self.scheduler.wavefront = wavefront_batch
         self._fifo = [deque() for _ in range(n)]
         self._state = [_IDLE] * n

@@ -54,10 +54,9 @@ resumes), a dead trunk tears every circuit riding it back to the request
 plane where it re-routes around the corpse; the watchdog ladder escalates
 through wavefront retries to coordinator placement to an explicit drop.
 
-The slot-synchronous fast path (:mod:`repro.sim.fastpath`) is
-single-switch machinery; ``fast=True`` is accepted for RunSpec symmetry
-and **always falls back to the event path**, visibly, via the
-``fastpath_fallback`` counter — results are byte-identical either way.
+The slot-synchronous shortcuts (:mod:`repro.sim.fastpath`) are
+single-switch machinery: :func:`~repro.sim.fastpath.fastpath_ineligible`
+rules every multi-switch run out, so it always runs tick by tick.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from ..params import SystemParams
 from ..sched.priority import RoundRobinPriority
 from ..sched.scheduler import Scheduler
 from ..sim.engine import Priority
-from ..sim.fastpath import fast_from_env, fastpath_ineligible
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
@@ -129,7 +127,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         scheme_label: str = "multi-tdm",
         trunk_faults: tuple[tuple[int, int, str, int], ...] = (),
         faults: FaultInjector | None = None,
-        fast: bool | None = None,
         strict: bool | None = None,
         max_wall_s: float | None = None,
     ) -> None:
@@ -171,10 +168,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 "a trunk-fault plan needs a FaultInjector (its retry policy "
                 "drives the recovery ladder); pass faults=FaultInjector([], ...)"
             )
-        #: accepted for RunSpec symmetry; the slot-synchronous fast path is
-        #: single-switch machinery, so multi-switch runs always take the
-        #: event path (counted in ``fastpath_fallback``, never silent)
-        self.fast = fast_from_env() if fast is None else bool(fast)
         # per-run state, created in _reset_scheme_state()
         self.schedulers: list[Scheduler] = []
         self._hold_count: list[np.ndarray] = []
@@ -930,11 +923,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         out["slot_opportunities"] = self._slot_opportunities
         out["slot_idle_ticks"] = self._slot_idle_ticks
         out["spurious_grants"] = self._spurious_grants
-        if self.fast and fastpath_ineligible(self) is not None:
-            # the slot-synchronous fast path never engages for multi-switch
-            # fabrics; the fallback is explicit, never a silent wrong path
-            # (the reason string is fastpath_ineligible(self))
-            out["fastpath_fallback"] = 1
         agg: dict[str, int] = {}
         for sched in self.schedulers:
             for key, value in sched.counters.as_dict().items():

@@ -99,10 +99,10 @@ class RunSpec:
     injection_window: int | None = DEFAULT_INJECTION_WINDOW
     tracer: Tracer | None = None
     faults: FaultInjector | None = None
-    #: slot-synchronous fast execution for the TDM schemes (byte-identical
-    #: to the event path; see repro.sim.fastpath).  None defers to the
-    #: REPRO_FAST environment variable; circuit takes only the batch
-    #: wavefront from it, and the other non-TDM schemes ignore it.
+    #: ignored.  Every eligible single-crossbar run takes the
+    #: slot-synchronous shortcuts (repro.sim.fastpath) and ``strict=True``
+    #: selects the tick-by-tick reference; the field is kept only so that
+    #: existing ``RunSpec(fast=...)`` callers keep working.
     fast: bool | None = None
     strict: bool | None = None
     max_wall_s: float | None = None
@@ -205,7 +205,6 @@ def _make_circuit(spec: RunSpec) -> BaseNetwork:
         spec.params,
         tracer=spec.tracer,
         faults=spec.faults,
-        fast=spec.fast,
         strict=spec.strict,
         max_wall_s=spec.max_wall_s,
         **spec.options,
@@ -228,7 +227,6 @@ def _tdm_factory(mode: str) -> SchemeFactory:
             injection_window=spec.injection_window,
             tracer=spec.tracer,
             faults=spec.faults,
-            fast=spec.fast,
             strict=spec.strict,
             max_wall_s=spec.max_wall_s,
             **spec.options,
@@ -263,7 +261,6 @@ def _make_solstice_tdm(spec: RunSpec) -> BaseNetwork:
         injection_window=spec.injection_window,
         tracer=spec.tracer,
         faults=spec.faults,
-        fast=spec.fast,
         strict=spec.strict,
         max_wall_s=spec.max_wall_s,
         **options,
@@ -291,7 +288,6 @@ def _multiswitch_factory(
             tracer=spec.tracer,
             scheme_label=label,
             faults=spec.faults,
-            fast=spec.fast,
             strict=spec.strict,
             max_wall_s=spec.max_wall_s,
             **{k: v for k, v in options.items() if k not in _TOPO_OPTION_KEYS},

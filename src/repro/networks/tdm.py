@@ -54,7 +54,7 @@ from ..sched.priority import RotationPolicy, RoundRobinPriority
 from ..sched.scheduler import Scheduler
 from ..sched.solstice import solstice_schedule
 from ..sim.engine import Priority
-from ..sim.fastpath import FastPath, fast_from_env
+from ..sim.fastpath import FastPath
 from ..sim.trace import Tracer
 from ..topo import Topology
 from ..traffic.base import TrafficPhase
@@ -88,7 +88,6 @@ class TdmNetwork(BaseNetwork):
         schedule_computer: str = "coloring",
         coloring: str = "kempe",
         faults: FaultInjector | None = None,
-        fast: bool | None = None,
         strict: bool | None = None,
         max_wall_s: float | None = None,
         topology: Topology | None = None,
@@ -167,9 +166,6 @@ class TdmNetwork(BaseNetwork):
         #: paper's exact-Δ frame, "packed" the demand-weighted variant
         self.coloring = coloring
         self.scheme = f"tdm-{mode}"
-        #: arm the slot-synchronous windows (repro.sim.fastpath) — byte-
-        #: identical to the event path; irregular runs stay tick by tick
-        self.fast = fast_from_env() if fast is None else bool(fast)
         # per-run state
         self._fastpath: FastPath | None = None
         self.scheduler: Scheduler | None = None

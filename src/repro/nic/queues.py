@@ -43,7 +43,9 @@ class VirtualOutputQueues:
             raise ConfigurationError(f"source {src} out of range for {n} ports")
         self.n = n
         self.src = src
-        self._queues: list[deque[Message]] = [deque() for _ in range(n)]
+        #: per-destination FIFOs, created on a destination's first enqueue
+        #: (most of an n-port NIC's n queues never see a message)
+        self._queues: list[deque[Message] | None] = [None] * n
         #: bytes not yet transmitted, per destination (authoritative)
         self.bytes_pending = np.zeros(n, dtype=np.int64)
         self._starts: dict[int, int] = {}  # id(message) -> first-byte time
@@ -55,7 +57,10 @@ class VirtualOutputQueues:
             raise ConfigurationError(
                 f"message from {msg.src} enqueued at NIC {self.src}"
             )
-        self._queues[msg.dst].append(msg)
+        q = self._queues[msg.dst]
+        if q is None:
+            q = self._queues[msg.dst] = deque()
+        q.append(msg)
         self.bytes_pending[msg.dst] += msg.size
         self.enqueued_bytes += msg.size
 
@@ -72,7 +77,8 @@ class VirtualOutputQueues:
 
     def depth(self, dst: int) -> int:
         """Messages queued for ``dst``."""
-        return len(self._queues[dst])
+        q = self._queues[dst]
+        return len(q) if q else 0
 
     def drain(
         self, dst: int, max_bytes: int, start_ps: int, byte_ps: int = 0
@@ -92,7 +98,9 @@ class VirtualOutputQueues:
         if max_bytes < 0:
             raise ConfigurationError("cannot drain a negative byte budget")
         q = self._queues[dst]
-        if max_bytes and q:
+        if not q:
+            return 0, []
+        if max_bytes:
             # the common mid-message slot: an injected head outlasts the
             # whole budget, so nothing completes and the deque stays put
             msg = q[0]
@@ -163,7 +171,7 @@ class VirtualOutputQueues:
     def check_invariants(self) -> None:
         """Verify byte counters match the per-message remainders (test hook)."""
         for dst, q in enumerate(self._queues):
-            actual = sum(m.remaining for m in q)
+            actual = sum(m.remaining for m in q) if q else 0
             if actual != self.bytes_pending[dst]:
                 raise InvariantError(
                     f"queue ({self.src}->{dst}) bytes {self.bytes_pending[dst]} "

@@ -34,14 +34,17 @@ rotated row-major order first claim on free ports.  We therefore traverse
 rows in the cyclic order ``a, a+1, ..., a-1`` and columns ``b, b+1, ...,
 b-1``; signals do not wrap past the injection point.
 
-Two interchangeable implementations are provided:
+Three interchangeable implementations are provided:
 
 * :func:`wavefront_reference` — a dense, cell-by-cell transliteration of
   Table 2 used by the unit and property tests;
 * :func:`wavefront_sparse` — an O(nnz(L)) equivalent used by the
   simulators.  Cells with ``L = 0`` are transparent to both signal familes,
   so visiting only the non-zero cells of ``L`` in the same traversal order
-  produces bit-identical results (a Hypothesis test pins this).
+  produces bit-identical results (a Hypothesis test pins this);
+* :func:`wavefront_batch` — the same outcome with the cells that are
+  blocked from the start filtered out by numpy, walking only the rest
+  (single-crossbar runs eligible for :mod:`repro.sim.fastpath` use it).
 """
 
 from __future__ import annotations
@@ -210,9 +213,10 @@ def wavefront_sparse(
     return out
 
 
-#: below this many L=1 cells the per-pass numpy overhead of the batch
-#: evaluation exceeds the sparse Python loop, so it delegates
-_BATCH_MIN_NNZ = 16
+#: below this many L=1 cells the numpy filter of the batch evaluation
+#: costs more than it saves the sparse walk, so it delegates (measured
+#: on 128-port message-granular passes: the filter pays from about 100)
+_BATCH_MIN_NNZ = 128
 
 
 def wavefront_batch(
@@ -225,90 +229,48 @@ def wavefront_batch(
     *,
     min_nnz: int = _BATCH_MIN_NNZ,
 ) -> PassOutcome:
-    """Vectorized pass: evaluate all pending L-cells with matrix operations.
+    """Vectorized pass: drop the surely-blocked L cells, walk the rest.
 
     Produces output bit-identical to :func:`wavefront_reference` /
     :func:`wavefront_sparse` for consistent inputs (``ao``/``ai`` the port
-    occupancy of ``b_s``, unique cell coordinates), without walking the
-    cells one by one.  The sequential wavefront has two structural
-    properties that make this possible:
-
-    * releases always fire, and there is at most one per row and per
-      column (``b_s`` is a partial permutation), so every row/column has a
-      single *available-from* traversal position: ``-1`` if free at entry,
-      the release's position if freed mid-pass, past-the-end if occupied
-      with no release — and every release precedes every establish in its
-      row and column;
-    * the surviving establishes form the greedy maximal matching in
-      traversal order, which equals the fixpoint of repeatedly accepting
-      every eligible candidate that is the minimum-position candidate in
-      both its row and its column (an accepted cell claims exactly its own
-      row and column, so a min-min candidate can never be blocked by an
-      earlier acceptance).
-
-    Below ``min_nnz`` pending cells the call delegates to
-    :func:`wavefront_sparse` — the outcome is identical either way, only
-    the constant factors differ.
+    occupancy of ``b_s``, unique cell coordinates).  Releases always fire,
+    and there is at most one per row and per column (``b_s`` is a partial
+    permutation), so every row/column has a single *available-from*
+    traversal position: ``-1`` if free at entry, the release's position if
+    freed mid-pass, past-the-end if occupied with no release.  An
+    establish cell at or before its row's or its column's available-from
+    position is blocked whatever else happens, and a blocked cell moves no
+    signal, so one numpy filter drops those cells and
+    :func:`wavefront_sparse` walks only the releases and the survivors.
+    On a busy crossbar most cells are dropped.  Below ``min_nnz`` pending
+    cells the call walks them all — the outcome is identical either way,
+    only the constant factors differ.
     """
     nnz = len(l_rows)
     if nnz < min_nnz:
         return wavefront_sparse(l_rows, l_cols, b_s, ao, ai, rotation)
     n = b_s.shape[0]
     a, b = rotation[0] % n, rotation[1] % n
-    us = np.asarray(l_rows, dtype=np.int64)
-    vs = np.asarray(l_cols, dtype=np.int64)
-    pos = ((us - a) % n) * n + ((vs - b) % n)
+    us = np.asarray(l_rows)
+    vs = np.asarray(l_cols)
     rel = b_s[us, vs]
-    ao_b = np.asarray(ao, dtype=bool)
     ai_b = np.asarray(ai, dtype=bool)
-    if rel.any() and not bool(np.all(ao_b[vs[rel]] & ai_b[us[rel]])):
-        # Inconsistent occupancy: replay sequentially so the caller gets
-        # the oracle's exact InvariantError for the first offending cell.
-        return wavefront_sparse(l_rows, l_cols, b_s, ao, ai, rotation)
-
-    past_end = np.int64(n * n + 1)
-    row_avail = np.where(ai_b, past_end, np.int64(-1))
-    col_avail = np.where(ao_b, past_end, np.int64(-1))
-    row_avail[us[rel]] = pos[rel]
-    col_avail[vs[rel]] = pos[rel]
-
-    est = ~rel
-    eu, ev, ep = us[est], vs[est], pos[est]
-    cand = (ep > row_avail[eu]) & (ep > col_avail[ev])
-    accepted = np.zeros(len(eu), dtype=bool)
-    while True:
-        idx = np.nonzero(cand)[0]
-        if idx.size == 0:
-            break
-        cu, cv, cp = eu[idx], ev[idx], ep[idx]
-        rmin = np.full(n, past_end)
-        cmin = np.full(n, past_end)
-        np.minimum.at(rmin, cu, cp)
-        np.minimum.at(cmin, cv, cp)
-        win = (cp == rmin[cu]) & (cp == cmin[cv])
-        wi = idx[win]
-        accepted[wi] = True
-        # drop every candidate (winners included) in a newly claimed row
-        # or column; rows/columns claimed in earlier rounds already have
-        # no candidates left
-        claimed_row = np.zeros(n, dtype=bool)
-        claimed_col = np.zeros(n, dtype=bool)
-        claimed_row[eu[wi]] = True
-        claimed_col[ev[wi]] = True
-        cand[idx] &= ~(claimed_row[cu] | claimed_col[cv])
-
-    out = PassOutcome()
-    out.blocked = int(len(eu) - int(accepted.sum()))
-    tog_u = np.concatenate([us[rel], eu[accepted]])
-    tog_v = np.concatenate([vs[rel], ev[accepted]])
-    tog_p = np.concatenate([pos[rel], ep[accepted]])
-    n_rel = int(rel.sum())
-    tog_e = np.zeros(len(tog_u), dtype=bool)
-    tog_e[n_rel:] = True
-    order = np.argsort(tog_p, kind="stable")
-    toggles = out.toggles
-    for u_, v_, e_ in zip(
-        tog_u[order].tolist(), tog_v[order].tolist(), tog_e[order].tolist()
-    ):
-        toggles.append(Toggle(u_, v_, establish=e_))
+    ao_b = np.asarray(ao, dtype=bool)
+    if rel.any():
+        if not bool(np.all(ao_b[vs[rel]] & ai_b[us[rel]])):
+            # inconsistent occupancy: walk every cell so the caller gets
+            # the oracle's exact InvariantError for the first offending one
+            return wavefront_sparse(l_rows, l_cols, b_s, ao, ai, rotation)
+        pos = ((us - a) % n) * n + ((vs - b) % n)
+        past_end = n * n + 1
+        row_avail = np.where(ai_b, past_end, -1)
+        col_avail = np.where(ao_b, past_end, -1)
+        row_avail[us[rel]] = pos[rel]
+        col_avail[vs[rel]] = pos[rel]
+        keep = rel | ((pos > row_avail[us]) & (pos > col_avail[vs]))
+    else:
+        # no release: a cell survives only if both its ports are free
+        keep = ~(ai_b[us] | ao_b[vs])
+    out = wavefront_sparse(us[keep], vs[keep], b_s, ao, ai, rotation)
+    out.blocked += nnz - int(np.count_nonzero(keep))
     return out

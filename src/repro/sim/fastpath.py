@@ -1,8 +1,8 @@
-"""The single-crossbar TDM data plane and its slot-synchronous fast path.
+"""The single-crossbar TDM data plane and its slot-synchronous shortcuts.
 
 Every :class:`~repro.networks.tdm.TdmNetwork` run owns one
 :class:`FastPath`.  Its :meth:`FastPath.transfer_slot` is the network's
-only per-slot transfer, in every mode (event, ``--fast``, traced,
+only per-slot transfer, in every run (windowed, strict, traced,
 faulted): it turns the slot's configuration into endpoint coordinates
 for the select-and-drain all slotted networks share,
 :meth:`~repro.networks.base.BaseNetwork._drain_slot` (one vector mask
@@ -15,8 +15,12 @@ transfer reports.
 The rest of this module exploits the regularity of the two periodic
 events — the TDM slot tick and the SL scheduler tick — whose work is, for
 long stretches of a run, completely predictable.  These layers are armed
-only for ``fast=`` runs that :func:`fastpath_ineligible` accepts, and
-change no observable of the simulation:
+for every run that :func:`fastpath_ineligible` accepts, and change no
+observable of the simulation.  Strict mode (``strict=True`` /
+``REPRO_STRICT=1``) is one of the reasons a run is ineligible: a strict
+run executes every tick through the heap and audits every memoised SL
+pass, so it is the tick-by-tick reference the shortcuts are checked
+against (CI diffs default runs against strict ones on real sweeps).
 
 * when a *quiescent window* is proven — an interval in which the scheduler
   is inert, per-slot transfers are pure arithmetic, and **no other heap
@@ -26,8 +30,7 @@ change no observable of the simulation:
   two clocks are re-timed past the window, and the skipped periodic events
   are credited to ``Simulator.events_executed`` (each one's effect *was*
   executed, just not through the heap), so event counts and every
-  ``RunResult`` field stay **byte-identical** to the event-driven path
-  (CI diffs the two modes on real sweeps);
+  ``RunResult`` field stay **byte-identical** to the tick-by-tick path;
 * outside windows, an SL tick whose pass
   :meth:`~repro.sched.scheduler.Scheduler.inert_blocked` proves inert
   (:meth:`FastPath.handle_sl_tick`) skips the full pass and applies its
@@ -41,7 +44,7 @@ A window may open, at the end of a normal slot tick at time ``t0``, only
 when ALL of the following hold (checked against live state, never cached
 across ticks):
 
-* the run is fast-path eligible at all (:func:`fastpath_ineligible`);
+* the run is eligible at all (:func:`fastpath_ineligible`);
 * the predictor is the :class:`~repro.predict.base.NullPredictor`, no
   prefetcher and no boost policy are attached, and no preload-batch load
   is in flight — these act on their own clocks and would mutate scheduler
@@ -64,13 +67,12 @@ batch would drain to zero, and the first non-tick heap event (so nothing
 at all happens *inside* a window; the breaking tick itself runs through
 the fully general event-driven code).  A window no heap event bounds is
 refused: a run that deadlocks with its clocks spinning must keep spinning
-into the event valve exactly like the event path does.
+into the event valve exactly like the tick-by-tick path does.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, cast
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -84,56 +86,38 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tdm imports us)
     from ..networks.base import BaseNetwork
     from ..networks.tdm import TdmNetwork
     from ..nic.queues import DrainedMessage
-    from ..types import Message
 
-__all__ = [
-    "FAST_ENV_VAR",
-    "MULTI_SWITCH_FALLBACK",
-    "fast_from_env",
-    "fastpath_ineligible",
-    "FastPath",
-]
-
-#: the fallback reason for composite fabrics — shared with the multi-switch
-#: network's counters and the scaleout summary so the three always agree
-MULTI_SWITCH_FALLBACK = "multi-switch fabric is scheduled per hop"
-
-#: environment variable that turns slot-synchronous execution on globally
-#: (the CLI's ``--fast`` sets it so worker processes inherit the mode)
-FAST_ENV_VAR = "REPRO_FAST"
+__all__ = ["fastpath_ineligible", "FastPath"]
 
 #: a window shorter than this many slot ticks is not worth the entry
 #: analysis plus the clock re-timing it buys
 _MIN_WINDOW_SLOTS = 2
 
 
-def fast_from_env() -> bool:
-    """Resolve the ``REPRO_FAST`` environment default (unset/"0" = off)."""
-    return os.environ.get(FAST_ENV_VAR, "") not in ("", "0")
-
-
 def fastpath_ineligible(net: "BaseNetwork") -> str | None:
-    """Why ``net``'s current run cannot arm the fast path (None: it can).
+    """Why ``net``'s current run cannot arm the shortcuts (None: it can).
 
     The quiescent windows, the inert-SL-pass shortcut and the batch
     wavefront serve exactly the regular core of the model: one crossbar
     driven by a plain single-unit
-    :class:`~repro.sched.scheduler.Scheduler` with no tracing and no fault
-    campaign.  Everything else — multi-switch fabrics with their per-hop
-    trunk scheduling, fault injection with its watchdog windows, multi-unit
-    or fabric-constrained schedulers, event tracing — runs tick by tick
-    through the event-driven path (a single-crossbar run still transfers
+    :class:`~repro.sched.scheduler.Scheduler` with no tracing, no fault
+    campaign and no strict checking.  Everything else — multi-switch
+    fabrics with their per-hop trunk scheduling, fault injection with its
+    watchdog windows, multi-unit or fabric-constrained schedulers, event
+    tracing, strict mode (the reference the shortcuts are checked
+    against) — runs tick by tick (a single-crossbar run still transfers
     through :meth:`FastPath.transfer_slot`).  The returned reason is always
     a nonempty string, fit for a CLI summary.
     """
     if not net.topology.is_single_switch:
-        return MULTI_SWITCH_FALLBACK
+        return "multi-switch fabric is scheduled per hop"
     if net.tracer.enabled:
         return "event tracing is enabled"
     if net._faults_active:
         return "a fault schedule is active"
-    tdm = cast("TdmNetwork", net)
-    if type(tdm.scheduler) is not Scheduler:
+    if net.strict:
+        return "strict mode runs every tick as the reference"
+    if type(getattr(net, "scheduler", None)) is not Scheduler:
         return "non-plain scheduler (multi-unit or fabric-constrained)"
     return None
 
@@ -159,9 +143,9 @@ class FastPath:
 
     Created in ``TdmNetwork._reset_scheme_state`` for every run; owns the
     per-slot transfer, an adaptor onto the network's shared
-    select-and-drain.  Fast, eligible
-    runs (:attr:`armed`) also get the quiescent-window machinery, the
-    inert-pass shortcut and the batch wavefront.  All effects are
+    select-and-drain.  Eligible runs (:attr:`armed`) also get the
+    quiescent-window machinery, the inert-pass shortcut and the batch
+    wavefront.  All effects are
     bit-identical to the tick-by-tick path, so nothing here appears in
     ``RunResult`` counters; :meth:`stats` exposes diagnostics through a
     side channel instead.
@@ -173,11 +157,11 @@ class FastPath:
         self.sim = net.sim
         self.sched = net.scheduler
         #: windows, the inert-pass shortcut and the batch wavefront are
-        #: armed only for fast runs the eligibility gate accepts
-        self.armed = net.fast and fastpath_ineligible(net) is None
+        #: armed for every run the eligibility gate accepts
+        self.armed = fastpath_ineligible(net) is None
         if self.armed:
-            # the batch wavefront is bit-identical to the sparse walk; dense
-            # L matrices (phase starts, all-to-all) are where it pays off
+            # the batch wavefront is bit-identical to the sparse walk and
+            # walks only the L cells that can still establish
             self.sched.wavefront = wavefront_batch
         self._quiet_capable = (
             self.armed
@@ -197,7 +181,7 @@ class FastPath:
         self._skip_until = 0
 
     def stats(self) -> dict[str, int]:
-        """Fast-path diagnostics (not part of any byte-compared output)."""
+        """Shortcut diagnostics (not part of any byte-compared output)."""
         return {
             "windows_opened": self.windows_opened,
             "quiet_slot_ticks": self.quiet_slot_ticks,
@@ -294,68 +278,84 @@ class FastPath:
             self.window_denials += 1
             return
 
-        # the frozen TDM counter's slot sequence: one period of a pure cycle
+        # the frozen TDM counter's slot sequence: one period of a pure cycle;
+        # `turns` holds each applied slot's tick indices within the period,
+        # slots in the order of their first turn
         tdm = sched.tdm
         cycle = tdm.cycle(sched.r_view if net.skip_idle_slots else None)
         p = len(cycle)
+        turns: dict[int, list[int]] = {}
+        for i, s in enumerate(cycle):
+            turns.setdefault(s, []).append(i)
 
-        # per-connection service analysis over the slots that will be
-        # applied; any connection whose service could *start* mid-window
-        # (grant or head injection still in flight) vetoes the window
+        # per-slot service analysis; any connection whose service could
+        # *start* mid-window (grant or head injection still in flight)
+        # vetoes the window.  The first break is the earliest tick a served
+        # head would complete on: within one slot the completing turn only
+        # grows with the head's remaining bytes, so the slot's shortest
+        # head decides it.  The break only moves earlier as slots are
+        # added, so a break too near to leave a window ends the analysis.
         conn_ready = net._conn_ready
         assert conn_ready is not None
         qb = net.queue_bytes
         slot_bytes = net.params.slot_bytes
-        slot_opps: dict[int, int] = {}
-        slot_moves: dict[int, int] = {}
-        bslot: dict[int, int] = {}
-        conn_head: dict[tuple[int, int], "Message"] = {}
-        conn_slots: dict[tuple[int, int], set[int]] = {}
-        for s in sorted(cycle):
-            cfg = regs.slots[s]
-            rtc = cfg.row_to_col
+        nics = net.nics
+        batch_conns = net._batch_conns
+        #: per applied slot: (slot, turns, connections, movers' u, v, batch movers)
+        served: list[tuple[int, list[int], int, list[int], list[int], int]] = []
+        break_idx: int | None = None
+        for s, pos in turns.items():
+            rtc = regs.slots[s].row_to_col
             us = np.nonzero(rtc >= 0)[0]
-            slot_opps[s] = len(us)
             vs = rtc[us]
             act = qb[us, vs] > 0
-            moves = 0
-            batch_moves = 0
-            if act.any():
-                aus = us[act]
-                avs = vs[act]
-                if bool(np.any(conn_ready[aus, avs] > t)):
-                    self.window_denials += 1
-                    return
-                for u, v in zip(aus.tolist(), avs.tolist()):
-                    head = net.nics[u].voqs.head(v)
+            aus = us[act]
+            avs = vs[act]
+            if bool(np.any(conn_ready[aus, avs] > t)):
+                self.window_denials += 1
+                return
+            mu = aus.tolist()
+            mv = avs.tolist()
+            n_batch = 0
+            if mu:
+                remaining = 0
+                for u, v in zip(mu, mv):
+                    head = nics[u].voqs.head(v)
                     assert head is not None
                     if head.inject_ps > t:
                         self.window_denials += 1
                         return
-                    moves += 1
-                    if (u, v) in net._batch_conns:
-                        batch_moves += 1
-                    conn_head[(u, v)] = head
-                    conn_slots.setdefault((u, v), set()).add(s)
-            slot_moves[s] = moves
-            bslot[s] = batch_moves
-
-        # first break: the earliest tick a served head would complete on
-        break_idx: int | None = None
-        served: list[tuple[int, int, list[int]]] = []
-        for (u, v), slots_of in sorted(conn_slots.items()):
-            positions = [i for i, s in enumerate(cycle) if s in slots_of]
-            head = conn_head[(u, v)]
-            k_done = -(-head.remaining // slot_bytes)  # ceil: drains to finish
-            idx = _index_of_occurrence(positions, k_done, p)
-            if break_idx is None or idx < break_idx:
-                break_idx = idx
-            served.append((u, v, positions))
+                    if not remaining or head.remaining < remaining:
+                        remaining = head.remaining
+                idx = _index_of_occurrence(pos, -(-remaining // slot_bytes), p)
+                if break_idx is None or idx < break_idx:
+                    break_idx = idx
+                    if idx < _MIN_WINDOW_SLOTS:
+                        self._skip_until = t + (idx + 1) * slot_ps
+                        self.window_denials += 1
+                        return
+                if batch_conns:
+                    n_batch = sum(1 for conn in zip(mu, mv) if conn in batch_conns)
+            served.append((s, pos, len(us), mu, mv, n_batch))
+        if len(served) > 1:
+            # a connection established in several slots is served on the
+            # union of their turns, so it may complete before its slots'
+            # own analyses say
+            n = len(nics)
+            keys = np.concatenate(
+                [np.asarray(mu, dtype=np.int64) * n + mv for _, _, _, mu, mv, _ in served]
+            )
+            uniq, counts = np.unique(keys, return_counts=True)
+            if len(uniq) < len(keys):
+                idx = self._multi_slot_break(served, set(uniq[counts > 1].tolist()), p)
+                if break_idx is None or idx < break_idx:
+                    break_idx = idx
 
         # second break: the tick the current preload batch drains to zero
         # (that tick must run normally — it schedules the next batch load)
         if net._program is not None and net._batch_remaining > 0:
             units = -(-net._batch_remaining // slot_bytes)
+            bslot = {s: n_batch for s, _, _, _, _, n_batch in served}
             bidx = self._batch_break_index(cycle, bslot, units)
             if bidx is not None and (break_idx is None or bidx < break_idx):
                 break_idx = bidx
@@ -364,8 +364,8 @@ class FastPath:
         if horizon is not None and (end is None or horizon < end):
             end = horizon
         if end is None:
-            # nothing bounds the window: the event path would tick forever
-            # into its per-phase event valve, and so must we
+            # nothing bounds the window: the tick-by-tick path would tick
+            # forever into its per-phase event valve, and so must we
             self.window_denials += 1
             return
         m = (end - t - 1) // slot_ps  # slot ticks strictly inside the window
@@ -386,33 +386,31 @@ class FastPath:
         else:
             crossbar = net.crossbar
             assert crossbar is not None
-            opps = 0
-            moved_conns = 0
-            for i, s in enumerate(cycle):
-                occ = _count_before([i], m, p)
-                opps += occ * slot_opps[s]
-                moved_conns += occ * slot_moves[s]
-            net._slot_opportunities += opps
-            net._slot_transfers += moved_conns
             tdm.advances += m
             last = cycle[(m - 1) % p]
             tdm.current = last
-            # the event path reloads the active configuration every applied
-            # slot; only the last load is observable
+            # the tick-by-tick path reloads the active configuration every
+            # applied slot; only the last load is observable
             crossbar.reconfigurations += m
             crossbar.active.load(regs.slots[last])
             byte_ps = net.params.byte_ps
-            for u, v, positions in served:
-                occ = _count_before(positions, m, p)
-                if occ == 0:
+            ledger = net.ledger
+            # slots drain in first-turn order, so a head served in several
+            # slots starts on its earliest turn; nothing completes in a
+            # window, so its partial drains add up to one
+            for s, pos, n_conns, mu, mv, n_batch in served:
+                occ = _count_before(pos, m, p)
+                net._slot_opportunities += occ * n_conns
+                if occ == 0 or not mu:
                     continue
-                moved, done = net.nics[u].voqs.drain(
-                    v, occ * slot_bytes, t + (positions[0] + 1) * slot_ps, byte_ps
-                )
-                assert not done, "window overran a message completion"
-                net.ledger.send(u, v, moved)
-                if (u, v) in net._batch_conns:
-                    net._batch_remaining -= moved
+                net._slot_transfers += occ * len(mu)
+                budget = occ * slot_bytes
+                start = t + (pos[0] + 1) * slot_ps
+                for u, v in zip(mu, mv):
+                    moved, done = nics[u].voqs.drain(v, budget, start, byte_ps)
+                    assert not done, "window overran a message completion"
+                    ledger.send(u, v, moved)
+                net._batch_remaining -= n_batch * budget
 
         if j_m:
             # j_m inert passes, each blocking the same |E| cells
@@ -428,12 +426,39 @@ class FastPath:
         )
         # the skipped periodic events *were* executed — in closed form,
         # above — so the executed count (and RunResult's "events" counter)
-        # stays identical to the event-driven path
+        # stays identical to the tick-by-tick path
         self.sim.events_executed += m + j_m
 
         self.windows_opened += 1
         self.quiet_slot_ticks += m
         self.quiet_sl_ticks += j_m
+
+    def _multi_slot_break(
+        self,
+        served: list[tuple[int, list[int], int, list[int], list[int], int]],
+        multi: set[int],
+        p: int,
+    ) -> int:
+        """Earliest completion tick among the connections ``u * n + v`` in
+        ``multi``, each served on the union of its slots' turns."""
+        net = self.net
+        n = len(net.nics)
+        turns_of: dict[int, list[int]] = {}
+        for _, pos, _, mu, mv, _ in served:
+            for u, v in zip(mu, mv):
+                if u * n + v in multi:
+                    turns_of.setdefault(u * n + v, []).extend(pos)
+        slot_bytes = net.params.slot_bytes
+        best: int | None = None
+        for key, pos in turns_of.items():
+            head = net.nics[key // n].voqs.head(key % n)
+            assert head is not None
+            pos.sort()
+            idx = _index_of_occurrence(pos, -(-head.remaining // slot_bytes), p)
+            if best is None or idx < best:
+                best = idx
+        assert best is not None
+        return best
 
     @staticmethod
     def _batch_break_index(

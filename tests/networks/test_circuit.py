@@ -121,24 +121,20 @@ class TestWorkloads:
         assert efficiency(r_large, large_phases) > efficiency(r_small, small_phases)
 
 
-class TestFastMode:
-    def test_fast_none_reads_the_environment(self, params, monkeypatch):
-        """``--fast`` sets REPRO_FAST; an unset ``fast=`` must honour it and
-        give the SL passes the batch wavefront, with identical records."""
-        from repro.sched.slarray import wavefront_batch
-        from repro.sim.fastpath import FAST_ENV_VAR
+class TestBatchWavefront:
+    def test_default_run_uses_the_batch_wavefront(self, params):
+        """An eligible run gives its SL passes the batch wavefront; a strict
+        run keeps the sparse reference walk, with identical records."""
+        from repro.sched.slarray import wavefront_batch, wavefront_sparse
 
         pattern = UniformRandomPattern(8, 128, messages_per_node=4)
-        monkeypatch.delenv(FAST_ENV_VAR, raising=False)
-        slow = CircuitNetwork(params)
-        assert not slow.fast
-        r_slow = slow.run(pattern.phases(RngStreams(2)))
-        monkeypatch.setenv(FAST_ENV_VAR, "1")
-        fast = CircuitNetwork(params)
-        assert fast.fast
-        r_fast = fast.run(pattern.phases(RngStreams(2)))
-        assert fast.scheduler is not None
-        assert fast.scheduler.wavefront is wavefront_batch
-        assert r_fast.records == r_slow.records
-        assert r_fast.counters == r_slow.counters
-        assert not CircuitNetwork(params, fast=False).fast
+        ref = CircuitNetwork(params, strict=True)
+        r_ref = ref.run(pattern.phases(RngStreams(2)))
+        assert ref.scheduler is not None
+        assert ref.scheduler.wavefront is wavefront_sparse
+        net = CircuitNetwork(params, strict=False)
+        r_net = net.run(pattern.phases(RngStreams(2)))
+        assert net.scheduler is not None
+        assert net.scheduler.wavefront is wavefront_batch
+        assert r_net.records == r_ref.records
+        assert r_net.counters == r_ref.counters

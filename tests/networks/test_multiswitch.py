@@ -2,7 +2,7 @@
 
 Covers the scale-out acceptance bar: byte-identical determinism across
 invocations and job counts, flow conservation under a seeded per-hop
-trunk-fault campaign, the explicit fast-path fallback, and the
+trunk-fault campaign, the tick-by-tick run of every multi-switch cell, and the
 cross-validation regression pinning the simulator to the analytic
 :class:`~repro.networks.multihop.MultiHopModel` within one TDM slot.
 """
@@ -145,27 +145,23 @@ class TestDeterminism:
         assert serial.points == fanned.points
         assert serial.csv() == fanned.csv()
 
-    def test_scaleout_fast_fallback_surfaced(self, monkeypatch):
-        """Fast mode on a multi-switch sweep falls back to the event path;
-        the summary says so (count + reason), the CSV stays byte-identical
-        — that identity is the fallback's correctness contract."""
+    def test_scaleout_strict_matches_default(self, monkeypatch):
+        """Multi-switch cells always run tick by tick, so a strict sweep
+        equals the default one; no cell reports a fast-path fallback."""
         from repro.experiments.scaleout import run_scaleout
-        from repro.sim.fastpath import FAST_ENV_VAR, MULTI_SWITCH_FALLBACK
+        from repro.networks.base import STRICT_ENV_VAR
 
         kwargs = dict(
             endpoints=(64,), messages_per_endpoint=2, cache=False,
             faults=False, jobs=1,
         )
-        monkeypatch.delenv(FAST_ENV_VAR, raising=False)
+        monkeypatch.delenv(STRICT_ENV_VAR, raising=False)
         plain = run_scaleout(**kwargs)
-        assert "fast mode" not in plain.format()
-        monkeypatch.setenv(FAST_ENV_VAR, "1")
-        fast = run_scaleout(**kwargs)
-        assert fast.csv() == plain.csv()
-        summary = fast.format()
-        assert f"fast mode: {len(fast.points)}/{len(fast.points)}" in summary
-        assert MULTI_SWITCH_FALLBACK in summary
-        assert all(p.fastpath_fallbacks == 1 for p in fast.points)
+        monkeypatch.setenv(STRICT_ENV_VAR, "1")
+        strict = run_scaleout(**kwargs)
+        assert strict.csv() == plain.csv()
+        assert strict.format() == plain.format()
+        assert all(p.fastpath_fallbacks == 0 for p in plain.points)
 
 
 class TestConservationAndFaults:
@@ -251,18 +247,18 @@ class TestConservationAndFaults:
         assert len(res.records) == 4  # all delivered via a 3-switch detour
 
 
-class TestFastPathFallback:
-    def test_fast_mode_falls_back_byte_identically(self):
-        slow = MultiSwitchTdmNetwork(
-            PARAMS64, topology=_mesh64(), strict=True, fast=False
-        ).run(_workload())
-        fast = MultiSwitchTdmNetwork(
-            PARAMS64, topology=_mesh64(), strict=True, fast=True
-        ).run(_workload())
-        assert _signature(slow) == _signature(fast)
-        # the fallback is explicit, never a silent wrong-path execution
-        assert fast.counters["fastpath_fallback"] == 1
-        assert "fastpath_fallback" not in slow.counters
+class TestTickByTick:
+    def test_multi_switch_runs_are_ineligible_for_the_shortcuts(self):
+        from repro.sim.fastpath import fastpath_ineligible
+
+        net = MultiSwitchTdmNetwork(PARAMS64, topology=_mesh64())
+        plain = net.run(_workload())
+        assert fastpath_ineligible(net) == "multi-switch fabric is scheduled per hop"
+        ref = MultiSwitchTdmNetwork(PARAMS64, topology=_mesh64(), strict=True).run(
+            _workload()
+        )
+        assert _signature(plain) == _signature(ref)
+        assert "fastpath_fallback" not in plain.counters
 
 
 class TestRegistryIntegration:
