@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +45,9 @@ from ..topo import Topology
 from ..traffic.base import TrafficPhase
 from ..types import DropRecord, Message, MessageRecord
 from .lifecycle import ConnectionManager
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sched.scheduler import Scheduler
 
 __all__ = ["PhaseResult", "RunResult", "BaseNetwork"]
 
@@ -166,11 +171,15 @@ class BaseNetwork(ABC):
         #: every NIC's pending-byte vector as one row of an ``(n, n)``
         #: matrix, the shared view of all VOQs the data plane reads
         self.queue_bytes = np.zeros((params.n_ports, params.n_ports), dtype=np.int64)
+        #: when each connection's grant reaches its NIC (request-plane
+        #: schemes): a connection carries data from this time on
+        self.conn_ready = np.zeros((params.n_ports, params.n_ports), dtype=np.int64)
         self.ledger: FlowLedger = FlowLedger(params.n_ports)
         self.records: list[MessageRecord] = []
         self.drops: list[DropRecord] = []
         self._phase_remaining = 0
         self._faults_active = False
+        self._clocks_started = False
         #: connection-lifecycle state (link up/down/dead, watchdogs, retry
         #: policy); recreated per run, attached to the scheme's scheduler
         self.lifecycle: ConnectionManager = ConnectionManager(self)
@@ -189,9 +198,11 @@ class BaseNetwork(ABC):
         for nic in self.nics:
             # a row *view*: every VOQ mutation lands in the matrix directly
             nic.voqs.bytes_pending = self.queue_bytes[nic.port]
+        self.conn_ready = np.zeros((n, n), dtype=np.int64)
         self.ledger = FlowLedger(n)
         self.records = []
         self.drops = []
+        self._clocks_started = False
         self.lifecycle = ConnectionManager(self)
         self._faults_active = (
             self.fault_injector is not None and self.fault_injector.active
@@ -312,6 +323,65 @@ class BaseNetwork(ABC):
                 self.ledger.send(u, v, moved)
                 moves.append((u, v, moved, done))
         return moves
+
+    # -- the request plane's clocks and wires --------------------------------------
+    #
+    # Circuit switching, crossbar TDM and multi-switch TDM share one plant:
+    # request edges ride a request wire to the scheduler, an SL pass runs
+    # every scheduler period, and the slotted schemes step a TDM frame every
+    # slot.  Each clock re-arms itself while the phase or the heap still has
+    # work.  The helpers take the tick as a bound method and schedule it
+    # as given: the quiescent windows find the armed clocks by it.
+
+    def _wire_scheduler(self, sched: Scheduler) -> None:
+        """Give a new scheduler the run's tracer, clock and strict flag."""
+        sched.tracer = self.tracer
+        sched.clock = lambda: self.sim.now
+        sched.strict = self.strict
+
+    def _start_clocks(
+        self, sl_tick: Callable[[], None], slot_tick: Callable[[], None] | None = None
+    ) -> None:
+        """Arm the slot clock (if any) and the SL clock once per run."""
+        if self._clocks_started:
+            return
+        self._clocks_started = True
+        if slot_tick is not None:
+            self.sim.schedule(self.params.slot_ps, slot_tick, priority=Priority.FABRIC)
+        self.sim.schedule(
+            self.params.scheduler_pass_ps, sl_tick, priority=Priority.SCHEDULER
+        )
+
+    def _rearm_slot_clock(self, slot_tick: Callable[[], None]) -> None:
+        if self._phase_remaining > 0 or self.sim.pending > 0:
+            self.sim.schedule(self.params.slot_ps, slot_tick, priority=Priority.FABRIC)
+
+    def _rearm_sl_clock(self, sl_tick: Callable[[], None]) -> None:
+        if self._phase_remaining > 0 or self.sim.pending > 0:
+            self.sim.schedule(
+                self.params.scheduler_pass_ps, sl_tick, priority=Priority.SCHEDULER
+            )
+
+    def _set_request_line(self, sched: Scheduler, u: int, v: int, up: bool) -> None:
+        """A request edge reached ``sched``: drive line (u, v), trace the edge."""
+        if self.tracer.enabled and bool(sched.r_view[u, v]) != up:
+            self.tracer.record(self.sim.now, "req-rise" if up else "req-drop", src=u, dst=v)
+        sched.set_request(u, v, up)
+
+    def _request_wire(self, fn: Callable[..., None], *args: object) -> None:
+        """A request-line edge: ``fn(*args)`` runs one request wire later."""
+        self.sim.schedule(self.params.request_wire_ps, fn, *args, priority=Priority.WIRE)
+
+    def _purge_port(self, port: int) -> list[Message]:
+        """Take every queued message from or to ``port`` out of the VOQs.
+
+        The victims come in NIC order (``port``'s own queues whole), the
+        order their drops are recorded in.
+        """
+        victims: list[Message] = []
+        for nic in self.nics:
+            victims.extend(nic.voqs.purge() if nic.port == port else nic.voqs.purge(port))
+        return victims
 
     def _schedule_delivery(self, dm: DrainedMessage, fill_ps: int) -> None:
         """Deliver a drained message once its last byte crossed the pipe."""

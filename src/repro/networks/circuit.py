@@ -38,6 +38,7 @@ from ..topo import Topology
 from ..traffic.base import TrafficPhase
 from ..types import Message, MessageRecord
 from .base import BaseNetwork
+from .lifecycle import LifecycleClient
 
 __all__ = ["CircuitNetwork"]
 
@@ -47,7 +48,7 @@ _WAITING = 1  # request raised, circuit not granted yet
 _SENDING = 2
 
 
-class CircuitNetwork(BaseNetwork):
+class CircuitNetwork(BaseNetwork, LifecycleClient):
     """Per-message circuit establishment over a single crossbar."""
 
     scheme = "circuit"
@@ -81,7 +82,6 @@ class CircuitNetwork(BaseNetwork):
         self._fifo: list[deque[Message]] = []
         self._state: list[int] = []
         self._current: list[Message | None] = []
-        self._clock_started = False
         self.circuits_established = 0
 
     def _reset_scheme_state(self) -> None:
@@ -89,9 +89,7 @@ class CircuitNetwork(BaseNetwork):
         rotation = self.rotation_template or RoundRobinPriority(n)
         rotation.reset()
         self.scheduler = Scheduler(self.params, k=1, rotation=rotation)
-        self.scheduler.tracer = self.tracer
-        self.scheduler.clock = lambda: self.sim.now
-        self.scheduler.strict = self.strict
+        self._wire_scheduler(self.scheduler)
         if fastpath_ineligible(self) is None:
             # circuit switching has no slot clock to batch, but its SL
             # passes can use the vectorised wavefront (bit-identical); strict,
@@ -100,7 +98,6 @@ class CircuitNetwork(BaseNetwork):
         self._fifo = [deque() for _ in range(n)]
         self._state = [_IDLE] * n
         self._current = [None] * n
-        self._clock_started = False
         self.circuits_established = 0
         # fault recovery (watchdogs, retries, give-up) is driven by the
         # lifecycle layer through the lifecycle_* callbacks below
@@ -118,11 +115,7 @@ class CircuitNetwork(BaseNetwork):
         for u in range(self.params.n_ports):
             if self._state[u] == _IDLE and self._fifo[u]:
                 self._advance_nic(u)
-        if not self._clock_started:
-            self._clock_started = True
-            self.sim.schedule(
-                self.params.scheduler_pass_ps, self._sl_tick, priority=Priority.SCHEDULER
-            )
+        self._start_clocks(self._sl_tick)
         self._run_event_loop()
 
     def _collect_counters(self) -> dict[str, int]:
@@ -157,22 +150,13 @@ class CircuitNetwork(BaseNetwork):
             self._start_transmission(u, reused=True)
         else:
             # raise the request line; it reaches the scheduler after the wire
-            self.sim.schedule(
-                self.params.request_wire_ps,
-                self._request_up,
-                u,
-                msg.dst,
-                priority=Priority.WIRE,
-            )
+            self._request_wire(self._request_up, u, msg.dst)
             if self._faults_active:
                 self.lifecycle.arm(u, msg.dst)
 
     def _request_up(self, u: int, v: int) -> None:
-        sched = self.scheduler
-        assert sched is not None
-        if self.tracer.enabled and not sched.r_view[u, v]:
-            self.tracer.record(self.sim.now, "req-rise", src=u, dst=v)
-        sched.set_request(u, v, True)
+        assert self.scheduler is not None
+        self._set_request_line(self.scheduler, u, v, True)
 
     def _request_down(self, u: int, v: int) -> None:
         sched = self.scheduler
@@ -182,9 +166,7 @@ class CircuitNetwork(BaseNetwork):
         msg = self._current[u]
         if msg is not None and msg.dst == v and self._state[u] != _IDLE:
             return
-        if self.tracer.enabled and sched.r_view[u, v]:
-            self.tracer.record(self.sim.now, "req-drop", src=u, dst=v)
-        sched.set_request(u, v, False)
+        self._set_request_line(sched, u, v, False)
 
     # -- scheduler clock -----------------------------------------------------------
 
@@ -194,12 +176,7 @@ class CircuitNetwork(BaseNetwork):
         if 0 in sched.registers.quarantined:
             # the single slot is out of service; only the management plane
             # (or a message drop) can make progress now
-            if self._phase_remaining > 0 or self.sim.pending > 0:
-                self.sim.schedule(
-                    self.params.scheduler_pass_ps,
-                    self._sl_tick,
-                    priority=Priority.SCHEDULER,
-                )
+            self._rearm_sl_clock(self._sl_tick)
             return
         result = sched.sl_pass(0)
         if result.outcome is not None:
@@ -214,10 +191,7 @@ class CircuitNetwork(BaseNetwork):
                     t.v,
                     priority=Priority.WIRE,
                 )
-        if self._phase_remaining > 0 or self.sim.pending > 0:
-            self.sim.schedule(
-                self.params.scheduler_pass_ps, self._sl_tick, priority=Priority.SCHEDULER
-            )
+        self._rearm_sl_clock(self._sl_tick)
 
     def _granted(self, u: int, v: int) -> None:
         msg = self._current[u]
@@ -242,13 +216,7 @@ class CircuitNetwork(BaseNetwork):
                 self._advance_nic(u)
                 nxt = self._current[u]
                 if nxt is None or nxt.dst != v:
-                    self.sim.schedule(
-                        params.request_wire_ps,
-                        self._request_down,
-                        u,
-                        v,
-                        priority=Priority.WIRE,
-                    )
+                    self._request_wire(self._request_down, u, v)
                 return
             # transient outage: hold the circuit, resume on link-up
             self._state[u] = _WAITING
@@ -274,9 +242,10 @@ class CircuitNetwork(BaseNetwork):
             done_ps=done_ps,
             seq=msg.seq,
         )
-        self.tracer.record(
-            t, "circuit-tx", src=u, dst=msg.dst, bytes=msg.size, reused=reused
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                t, "circuit-tx", src=u, dst=msg.dst, bytes=msg.size, reused=reused
+            )
         self.sim.schedule_at(tail_ps, self._tail_left, u, priority=Priority.NIC)
         self.sim.schedule_at(done_ps, self._deliver, record, priority=Priority.NIC)
 
@@ -290,13 +259,7 @@ class CircuitNetwork(BaseNetwork):
         nxt = self._current[u]
         if nxt is None or nxt.dst != v:
             # destination changed (or no more traffic): drop the request line
-            self.sim.schedule(
-                self.params.request_wire_ps,
-                self._request_down,
-                u,
-                v,
-                priority=Priority.WIRE,
-            )
+            self._request_wire(self._request_down, u, v)
 
     # -- lifecycle policy callbacks (repro.networks.lifecycle) ----------------------
     #
@@ -327,17 +290,8 @@ class CircuitNetwork(BaseNetwork):
         msg = self._current[u]
         return msg is not None and msg.dst == v and self._state[u] == _WAITING
 
-    def lifecycle_awaiting_sl_dead(self, u: int, v: int) -> bool:
-        return self.lifecycle_awaiting_grant(u, v)
-
     def lifecycle_retry(self, u: int, v: int) -> None:
-        self.sim.schedule(
-            self.params.request_wire_ps,
-            self._request_up,
-            u,
-            v,
-            priority=Priority.WIRE,
-        )
+        self._request_wire(self._request_up, u, v)
 
     def lifecycle_mgmt_remap(self, u: int, v: int) -> bool:
         sched = self.scheduler
@@ -373,9 +327,6 @@ class CircuitNetwork(BaseNetwork):
             self._drop_message(m, "unrecoverable")
         sched.set_request(u, v, False)
         self._advance_nic(u)
-
-    def lifecycle_pinned_lost(self) -> None:
-        """Circuit switching (k=1) never pins a slot."""
 
     # -- link-state reactions (repro.faults) ----------------------------------------
 
@@ -439,11 +390,5 @@ class CircuitNetwork(BaseNetwork):
                 self._start_transmission(u, reused=True)
             else:
                 # the circuit was torn down while blocked: request again
-                self.sim.schedule(
-                    self.params.request_wire_ps,
-                    self._request_up,
-                    u,
-                    msg.dst,
-                    priority=Priority.WIRE,
-                )
+                self._request_wire(self._request_up, u, msg.dst)
                 self.lifecycle.arm(u, msg.dst)

@@ -75,11 +75,17 @@ class LifecycleClient(Protocol):
     These callbacks are the *scheme-specific* halves of fault recovery;
     everything else — timers, retry budgets, escalation order, link-state
     bookkeeping, recovery-latency accounting — lives in the manager.
+
+    A client that subclasses this protocol inherits the default bodies of
+    :meth:`lifecycle_watch_ref` (one watch per connection),
+    :meth:`lifecycle_awaiting_sl_dead` (a dead SL cell disrupts whatever
+    still awaits a grant) and :meth:`lifecycle_pinned_lost` (no pinned
+    slots to lose); the other five it must implement.
     """
 
     def lifecycle_watch_ref(self, u: int, v: int) -> tuple[Hashable, int | None]:
         """The (key, seq) a watchdog for connection (u, v) should carry."""
-        ...
+        return (u, v), None
 
     def lifecycle_watch_resolved(self, u: int, v: int, seq: int | None) -> bool:
         """Has the watched connection progressed (or stopped mattering)?"""
@@ -92,7 +98,7 @@ class LifecycleClient(Protocol):
 
     def lifecycle_awaiting_sl_dead(self, u: int, v: int) -> bool:
         """Is (u, v) disrupted by its SL cell dying?"""
-        ...
+        return self.lifecycle_awaiting_grant(u, v)
 
     def lifecycle_retry(self, u: int, v: int) -> None:
         """Re-raise the request line for (u, v) (wire delay included)."""
@@ -109,7 +115,9 @@ class LifecycleClient(Protocol):
 
     def lifecycle_pinned_lost(self) -> None:
         """A pinned (preloaded) slot was lost to a fault (degrade hook)."""
-        ...
+        # no pinned slots, nothing to degrade; the explicit body keeps type
+        # checkers from taking the method as abstract in a subclass
+        return None
 
 
 class ConnectionManager:

@@ -77,6 +77,7 @@ from ..topo import Topology
 from ..traffic.base import TrafficPhase
 from ..types import Connection, Message
 from .base import BaseNetwork
+from .lifecycle import LifecycleClient
 
 __all__ = ["MultiSwitchTdmNetwork", "NAK_LIMIT"]
 
@@ -114,7 +115,7 @@ class _Circuit:
     last_claim_ps: int = -1
 
 
-class MultiSwitchTdmNetwork(BaseNetwork):
+class MultiSwitchTdmNetwork(BaseNetwork, LifecycleClient):
     """End-to-end multi-hop TDM circuits over per-switch SL arrays."""
 
     def __init__(
@@ -173,9 +174,9 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self._hold_count: list[np.ndarray] = []
         self._circuits: dict[Connection, _Circuit] = {}
         #: the data plane's endpoint-level view of established circuits:
-        #: slot held (-1: none), grant arrival at the NIC, creation rank
+        #: slot held (-1: none) and creation rank; grant arrival at the NIC
+        #: is :attr:`conn_ready`
         self._slot_of = np.full((0, 0), -1, dtype=np.int32)
-        self._ready_ps = np.zeros((0, 0), dtype=np.int64)
         self._rank = np.zeros((0, 0), dtype=np.int32)
         self._next_rank = 0
         self._cell_fifo: dict[_Cell, deque[Connection]] = {}
@@ -183,7 +184,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self._coord_queue: list[Connection] = []
         self._trunk_cursor: dict[tuple[int, int], int] = {}
         self._slot_cursor = 0
-        self._clocks_started = False
         self._est_sum_ps = 0
         self._est_max_ps = 0
         self._est_count = 0
@@ -207,9 +207,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 k=self.k,
                 rotation=RoundRobinPriority(ports),
             )
-            sched.tracer = self.tracer
-            sched.clock = lambda: self.sim.now
-            sched.strict = self.strict
+            self._wire_scheduler(sched)
             self.schedulers.append(sched)
         # Reference counts behind each scheduler's ``latched`` mask.  Two
         # circuits may legitimately hold the same (in, out) cell in different
@@ -221,7 +219,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self._circuits = {}
         n = self.params.n_ports
         self._slot_of = np.full((n, n), -1, dtype=np.int32)
-        self._ready_ps = np.zeros((n, n), dtype=np.int64)
         self._rank = np.zeros((n, n), dtype=np.int32)
         self._next_rank = 0
         self._cell_fifo = {}
@@ -229,7 +226,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self._coord_queue = []
         self._trunk_cursor = {}
         self._slot_cursor = 0
-        self._clocks_started = False
         self._est_sum_ps = 0
         self._est_max_ps = 0
         self._est_count = 0
@@ -265,33 +261,14 @@ class MultiSwitchTdmNetwork(BaseNetwork):
     # -- phase execution --------------------------------------------------------------
 
     def _execute_phase(self, phase: TrafficPhase) -> None:
-        if not self._clocks_started:
-            self._clocks_started = True
-            self.sim.schedule(
-                self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC
-            )
-            self.sim.schedule(
-                self.params.scheduler_pass_ps, self._sl_tick, priority=Priority.SCHEDULER
-            )
+        self._start_clocks(self._sl_tick, self._slot_tick)
         self._run_event_loop()
-        if self._phase_remaining != 0:  # pragma: no cover - debugging aid
-            raise SchedulingError(
-                f"multi-switch TDM run stalled with {self._phase_remaining} "
-                f"messages pending at sim time {self.sim.now} ps "
-                f"({self.sim.pending} events still queued)"
-            )
 
     def _accept(self, msg: Message, at_phase_start: bool) -> None:
         """Queue the message; its request reaches the home switch one
         request-wire delay later."""
         super()._accept(msg, at_phase_start)
-        self.sim.schedule(
-            self.params.request_wire_ps,
-            self._request_rise,
-            msg.src,
-            msg.dst,
-            priority=Priority.WIRE,
-        )
+        self._request_wire(self._request_rise, msg.src, msg.dst)
 
     # -- the request plane ------------------------------------------------------------
 
@@ -343,8 +320,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         # the data plane serves a slot's holders in circuit creation order
         self._rank[u, v] = self._next_rank
         self._next_rank += 1
-        self._cell_fifo.setdefault(home, deque()).append((u, v))
-        self.schedulers[home[0]].set_request(home[1], home[2], True)
+        self._queue_home(circ)
         if self.tracer.enabled:
             self.tracer.record(
                 self.sim.now, "req-rise", src=u, dst=v, hops=n_hops
@@ -428,10 +404,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 if not self._coordinated_establish(circ, t):
                     remaining.append(key)
             self._coord_queue = remaining
-        if self._phase_remaining > 0 or self.sim.pending > 0:
-            self.sim.schedule(
-                self.params.scheduler_pass_ps, self._sl_tick, priority=Priority.SCHEDULER
-            )
+        self._rearm_sl_clock(self._sl_tick)
 
     def _latch(self, w: int, i: int, o: int) -> None:
         """Hold cell (i, o) on switch ``w`` against autonomous SL release.
@@ -475,42 +448,50 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         """Claim the next switch's cell in the circuit's slot (or NAK)."""
         j = len(circ.hops)
         w = circ.switches[j]
-        sched = self.schedulers[w]
         assert circ.slot is not None
-        cfg = sched.registers[circ.slot]
         in_link = circ.links[j - 1]
         assert in_link is not None
         in_port = self.topology.links[in_link].port_on(w)
-        if cfg.input_busy()[in_port]:
+        hop = self._free_hop(circ, j, circ.slot, in_port)
+        if hop is None:
             self._nak(circ)
             return False
-        last = j == len(circ.switches) - 1
-        if last:
-            out_port = self.topology.endpoint_port[circ.v]
-            if cfg.output_busy()[out_port]:
-                self._nak(circ)
-                return False
-        else:
-            out_port = -1
-            output_busy = cfg.output_busy()
-            chosen = None
-            for link_id in self._hop_link_candidates(w, circ.switches[j + 1]):
-                port = self.topology.links[link_id].port_on(w)
-                if not output_busy[port]:
-                    chosen = link_id
-                    out_port = port
-                    break
-            if chosen is None:
-                self._nak(circ)
-                return False
-            circ.links[j] = chosen
-        sched.registers.establish(circ.slot, in_port, out_port)
+        out_port, link = hop
+        if link is not None:
+            circ.links[j] = link
+        self.schedulers[w].registers.establish(circ.slot, in_port, out_port)
         self._latch(w, in_port, out_port)
         circ.hops.append((w, in_port, out_port))
         circ.last_claim_ps = t
-        if last:
+        if link is None:
             self._finish_establish(circ, t, via="wavefront")
         return True
+
+    def _free_hop(
+        self, circ: _Circuit, j: int, slot: int, in_port: int
+    ) -> tuple[int, int | None] | None:
+        """Can hop ``j`` of the circuit enter ``slot`` at ``in_port``?
+
+        The input must be free, and so must the output: the destination
+        port on the last hop, else the first free candidate link towards
+        the next switch.  Returns ``(out_port, link)`` (``link`` is None on
+        the last hop), or None when the hop is busy.
+        """
+        topo = self.topology
+        switches = circ.switches
+        w = switches[j]
+        cfg = self.schedulers[w].registers[slot]
+        if cfg.input_busy()[in_port]:
+            return None
+        if j == len(switches) - 1:
+            out_port = topo.endpoint_port[circ.v]
+            return None if cfg.output_busy()[out_port] else (out_port, None)
+        output_busy = cfg.output_busy()
+        for link_id in self._hop_link_candidates(w, switches[j + 1]):
+            port = topo.links[link_id].port_on(w)
+            if not output_busy[port]:
+                return port, link_id
+        return None
 
     def _hop_link_candidates(self, a: int, b: int) -> list[int]:
         """Usable parallel links of trunk (a, b), up-links first."""
@@ -529,8 +510,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         key = (circ.u, circ.v)
         # head of the home queue again: the next home grant (a rotated
         # slot) retries it before younger circuits
-        self._cell_fifo.setdefault(circ.home, deque()).appendleft(key)
-        self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], True)
+        self._queue_home(circ, front=True)
         if self.tracer.enabled:
             self.tracer.record(
                 self.sim.now, "circuit-nak", src=circ.u, dst=circ.v, naks=circ.naks
@@ -557,14 +537,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             circ.hops = list(hops)
             circ.links = links
             circ.last_claim_ps = t
-            key = (circ.u, circ.v)
-            fifo = self._cell_fifo.get(circ.home)
-            if fifo and key in fifo:
-                fifo.remove(key)
-                if not fifo:
-                    del self._cell_fifo[circ.home]
-            if not self._cell_fifo.get(circ.home):
-                self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], False)
+            self._unqueue_home(circ)
             self._coordinated += 1
             self._finish_establish(circ, t, via="coordinator")
             return True
@@ -580,29 +553,13 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         links: list[int | None] = [None] * (len(switches) - 1)
         in_port = topo.endpoint_port[circ.u]
         for j, w in enumerate(switches):
-            cfg = self.schedulers[w].registers[slot]
-            if cfg.input_busy()[in_port]:
+            hop = self._free_hop(circ, j, slot, in_port)
+            if hop is None:
                 return None
-            if j == len(switches) - 1:
-                out_port = topo.endpoint_port[circ.v]
-                if cfg.output_busy()[out_port]:
-                    return None
-            else:
-                output_busy = cfg.output_busy()
-                chosen = None
-                for link_id in self._hop_link_candidates(w, switches[j + 1]):
-                    port = topo.links[link_id].port_on(w)
-                    if not output_busy[port]:
-                        chosen = link_id
-                        break
-                if chosen is None:
-                    return None
-                links[j] = chosen
-                out_port = topo.links[chosen].port_on(w)
+            out_port, link = hop
             hops.append((w, in_port, out_port))
-            if j < len(switches) - 1:
-                link = links[j]
-                assert link is not None
+            if link is not None:
+                links[j] = link
                 in_port = topo.links[link].port_on(switches[j + 1])
         return hops, links
 
@@ -612,7 +569,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         circ.established = True
         ready_ps = t + self.params.scheduler_pass_ps + self.params.grant_wire_ps
         self._slot_of[circ.u, circ.v] = circ.slot
-        self._ready_ps[circ.u, circ.v] = ready_ps
+        self.conn_ready[circ.u, circ.v] = ready_ps
         # establishment latency measured from the injection-side request
         # edge (one request wire before it reached the home switch)
         latency = ready_ps - (circ.req_seen_ps - self.params.request_wire_ps)
@@ -643,10 +600,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             self._slot_idle_ticks += 1
         else:
             self._transfer_slot(slot, held[slots == slot], t)
-        if self._phase_remaining > 0 or self.sim.pending > 0:
-            self.sim.schedule(
-                self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC
-            )
+        self._rearm_slot_clock(self._slot_tick)
 
     def _advance_slot(self, held: np.ndarray, slots: np.ndarray) -> int | None:
         """Step the shared TDM frame to the next slot with work (skip-idle).
@@ -684,7 +638,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             ]
             us, vs = us[up], vs[up]
         moves = self._drain_slot(
-            us, vs, t, self._ready_ps, self._link_down if faults_active else None
+            us, vs, t, self.conn_ready, self._link_down if faults_active else None
         )
         params = self.params
         trace = self.tracer.enabled
@@ -703,13 +657,7 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             if self.queue_bytes[u, v] == 0:
                 # the queue-empty edge reaches the home switch one request
                 # wire later; the circuit is torn down unless refilled
-                self.sim.schedule(
-                    params.request_wire_ps,
-                    self._request_drop,
-                    u,
-                    v,
-                    priority=Priority.WIRE,
-                )
+                self._request_wire(self._request_drop, u, v)
 
     def _circuit_blocked(self, circ: _Circuit) -> bool:
         down = self.lifecycle.link_down
@@ -743,21 +691,45 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         for j in range(1, len(circ.links)):
             circ.links[j] = None
 
-    def _teardown(self, circ: _Circuit) -> None:
-        """Remove the circuit entirely: cells, home queue, request line."""
+    # -- the home-cell queue ---------------------------------------------------------
+    #
+    # Circuits waiting for a grant of the same home crossbar cell queue in
+    # FIFO order.  Joining the queue raises the home switch's request line
+    # for the cell; leaving it other than by a grant drops the line once
+    # the queue is empty.  An empty queue and a missing one mean the same
+    # everywhere.
+
+    def _queue_home(self, circ: _Circuit, *, front: bool = False) -> None:
+        """Queue the circuit at its home cell unless queued, raise the request."""
         key = (circ.u, circ.v)
-        self._release_hops(circ)
-        self._circuits.pop(key, None)
+        fifo = self._cell_fifo.setdefault(circ.home, deque())
+        if key not in fifo:
+            if front:
+                fifo.appendleft(key)
+            else:
+                fifo.append(key)
+        w, i, o = circ.home
+        self.schedulers[w].set_request(i, o, True)
+
+    def _unqueue_home(self, circ: _Circuit) -> None:
+        """Take the circuit off its home-cell queue; an empty queue drops
+        the home request."""
         fifo = self._cell_fifo.get(circ.home)
         if fifo is not None:
+            key = (circ.u, circ.v)
             if key in fifo:
                 fifo.remove(key)
-            if not fifo:
-                del self._cell_fifo[circ.home]
-                fifo = None
-        if fifo is None:
-            # no other circuit waits on the home cell: the request drops
-            self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], False)
+            if fifo:
+                return
+            del self._cell_fifo[circ.home]
+        w, i, o = circ.home
+        self.schedulers[w].set_request(i, o, False)
+
+    def _teardown(self, circ: _Circuit) -> None:
+        """Remove the circuit entirely: cells, home queue, request line."""
+        self._release_hops(circ)
+        self._circuits.pop((circ.u, circ.v), None)
+        self._unqueue_home(circ)
         self._teardowns += 1
         if self.tracer.enabled:
             self.tracer.record(
@@ -815,22 +787,13 @@ class MultiSwitchTdmNetwork(BaseNetwork):
                 self.lifecycle.arm(u, v)
                 # re-raise the request immediately; the new route avoids
                 # dead trunks (or the pair is dropped as unroutable)
-                self.sim.schedule(
-                    self.params.request_wire_ps,
-                    self._request_rise,
-                    u,
-                    v,
-                    priority=Priority.WIRE,
-                )
+                self._request_wire(self._request_rise, u, v)
 
     # -- endpoint link-state reactions --------------------------------------------------
 
     def _on_link_dead(self, port: int) -> None:
         """An endpoint died for good: drop its traffic, free its circuits."""
-        victims: list[Message] = []
-        for nic in self.nics:
-            removed = nic.voqs.purge() if nic.port == port else nic.voqs.purge(port)
-            victims.extend(removed)
+        victims = self._purge_port(port)
         for circ in [
             c for c in self._circuits.values() if port in (c.u, c.v)
         ]:
@@ -840,9 +803,6 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         self.lifecycle.disarm_port(port)
 
     # -- lifecycle policy callbacks (repro.networks.lifecycle) ---------------------------
-
-    def lifecycle_watch_ref(self, u: int, v: int) -> tuple[Connection, int | None]:
-        return (u, v), None
 
     def lifecycle_watch_resolved(self, u: int, v: int, seq: int | None) -> bool:
         if self.nics[u].voqs.bytes_pending[v] <= 0:
@@ -858,17 +818,8 @@ class MultiSwitchTdmNetwork(BaseNetwork):
         circ = self._circuits.get((u, v))
         return circ is None or not circ.established
 
-    def lifecycle_awaiting_sl_dead(self, u: int, v: int) -> bool:
-        return self.lifecycle_awaiting_grant(u, v)
-
     def lifecycle_retry(self, u: int, v: int) -> None:
-        self.sim.schedule(
-            self.params.request_wire_ps,
-            self._request_rise,
-            u,
-            v,
-            priority=Priority.WIRE,
-        )
+        self._request_wire(self._request_rise, u, v)
 
     def lifecycle_mgmt_remap(self, u: int, v: int) -> bool:
         """Escalation: the coordinator places the circuit directly."""
@@ -888,22 +839,14 @@ class MultiSwitchTdmNetwork(BaseNetwork):
             )
             return True
         # keep it requestable: back on its home queue if it fell off
-        key = (u, v)
-        fifo = self._cell_fifo.setdefault(circ.home, deque())
-        if key not in fifo:
-            fifo.appendleft(key)
-        self.schedulers[circ.home[0]].set_request(circ.home[1], circ.home[2], True)
+        self._queue_home(circ, front=True)
         return False
 
     def lifecycle_give_up(self, u: int, v: int) -> None:
         circ = self._circuits.get((u, v))
         if circ is not None:
             self._teardown(circ)
-        for m in self.nics[u].voqs.purge(v):
-            self._drop_message(m, "unrecoverable")
-
-    def lifecycle_pinned_lost(self) -> None:  # pragma: no cover - no preload
-        pass
+        self._drop_pair(u, v, "unrecoverable")
 
     # -- accounting ---------------------------------------------------------------------
 

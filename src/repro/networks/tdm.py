@@ -60,13 +60,14 @@ from ..topo import Topology
 from ..traffic.base import TrafficPhase
 from ..types import Connection, Message
 from .base import BaseNetwork
+from .lifecycle import LifecycleClient
 
 __all__ = ["TdmNetwork"]
 
 _MODES = ("dynamic", "preload", "hybrid")
 
 
-class TdmNetwork(BaseNetwork):
+class TdmNetwork(BaseNetwork, LifecycleClient):
     """TDM multiplexed switching with dynamic, preloaded, or hybrid control."""
 
     def __init__(
@@ -178,11 +179,9 @@ class TdmNetwork(BaseNetwork):
         self._batch_remaining = 0
         self._batch_loading = False
         self._program_gen = 0
-        self._clocks_started = False
         self._slot_transfers = 0
         self._slot_opportunities = 0
         self._scripts: list = []
-        self._conn_ready: np.ndarray | None = None
 
     # -- run scaffolding -----------------------------------------------------------
 
@@ -200,9 +199,7 @@ class TdmNetwork(BaseNetwork):
             )
         else:
             self.scheduler = Scheduler(self.params, self.k, rotation)
-        self.scheduler.tracer = self.tracer
-        self.scheduler.clock = lambda: self.sim.now
-        self.scheduler.strict = self.strict
+        self._wire_scheduler(self.scheduler)
         self.predictor = self.predictor_template or NullPredictor()
         self.crossbar = Crossbar(self.params, FabricTiming.lvds(self.params))
         if self.multislot_threshold_bytes is not None:
@@ -216,15 +213,9 @@ class TdmNetwork(BaseNetwork):
         self._batch_conns = set()
         self._batch_remaining = 0
         self._batch_loading = False
-        self._clocks_started = False
         self._slot_transfers = 0
         self._slot_opportunities = 0
         self._scripts = []
-        # grant-wire visibility: a connection established at time t can first
-        # carry data at t + grant_wire_ps, when the NIC has seen its grant
-        self._conn_ready = np.zeros(
-            (self.params.n_ports, self.params.n_ports), dtype=np.int64
-        )
         # fault recovery (watchdogs, retries, give-up) is driven by the
         # lifecycle layer through the lifecycle_* callbacks below
         self._degraded = False
@@ -248,6 +239,9 @@ class TdmNetwork(BaseNetwork):
         now = self.sim.now
         n = self.params.n_ports
         self._scripts = [deque() for _ in range(n)]
+        # set first: a message dropped at admission counts against the phase
+        self._phase_remaining = len(phase.messages)
+        dead = self._link_dead
         for msg in phase.messages:
             if not (0 <= msg.src < n and 0 <= msg.dst < n):
                 raise SchedulingError(
@@ -256,6 +250,10 @@ class TdmNetwork(BaseNetwork):
                 )
             msg.inject_ps += now
             self.ledger.offer(msg.src, msg.dst, msg.size)
+            if self._faults_active and (dead[msg.src] or dead[msg.dst]):
+                # the admission rule of BaseNetwork._accept_or_drop
+                self._drop_message(msg, "dead-link")
+                continue
             self._scripts[msg.src].append(msg)
             if self.tracer.enabled:
                 self.tracer.record(
@@ -266,7 +264,6 @@ class TdmNetwork(BaseNetwork):
                     size=msg.size,
                     seq=msg.seq,
                 )
-        self._phase_remaining = len(phase.messages)
         for u in range(n):
             for _ in range(self.injection_window):
                 self._feed_nic(u, initial=True)
@@ -282,21 +279,24 @@ class TdmNetwork(BaseNetwork):
         self.nics[u].enqueue(msg)
         if not initial:
             # a fresh request edge travels to the scheduler
-            self.sim.schedule(
-                self.params.request_wire_ps,
-                self._request_rise,
-                u,
-                msg.dst,
-                priority=Priority.WIRE,
-            )
+            self._request_wire(self._request_rise, u, msg.dst)
+
+    def _purge_script(self, u: int, dst: int | None = None) -> list[Message]:
+        """Take NIC ``u``'s scripted messages (to ``dst`` only, if given)
+        out of its injection script, in script order."""
+        if not self._scripts:
+            return []
+        script = self._scripts[u]
+        removed = [m for m in script if dst is None or m.dst == dst]
+        if removed:
+            self._scripts[u] = deque(m for m in script if dst is not None and m.dst != dst)
+        return removed
 
     def _request_rise(self, u: int, v: int) -> None:
         sched = self.scheduler
         assert sched is not None
         if self.nics[u].voqs.bytes_pending[v] > 0:
-            if self.tracer.enabled and not sched.r_view[u, v]:
-                self.tracer.record(self.sim.now, "req-rise", src=u, dst=v)
-            sched.set_request(u, v, True)
+            self._set_request_line(sched, u, v, True)
             if self._faults_active and not sched.established_anywhere(u, v):
                 self.lifecycle.arm(u, v)
 
@@ -304,13 +304,7 @@ class TdmNetwork(BaseNetwork):
         """A message arrives mid-phase: raise its request after the wire."""
         super()._accept(msg, at_phase_start)
         if not at_phase_start:
-            self.sim.schedule(
-                self.params.request_wire_ps,
-                self._request_rise,
-                msg.src,
-                msg.dst,
-                priority=Priority.WIRE,
-            )
+            self._request_wire(self._request_rise, msg.src, msg.dst)
 
     def _execute_phase(self, phase: TrafficPhase) -> None:
         sched = self.scheduler
@@ -325,24 +319,9 @@ class TdmNetwork(BaseNetwork):
             self._program = None
 
         # the request wires settle request_wire_ps after injection
-        self.sim.schedule(
-            self.params.request_wire_ps,
-            self._sync_requests,
-            priority=Priority.WIRE,
-        )
-        if not self._clocks_started:
-            self._clocks_started = True
-            self.sim.schedule(self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC)
-            self.sim.schedule(
-                self.params.scheduler_pass_ps, self._sl_tick, priority=Priority.SCHEDULER
-            )
+        self._request_wire(self._sync_requests)
+        self._start_clocks(self._sl_tick, self._slot_tick)
         self._run_event_loop()
-        if self._phase_remaining != 0:  # pragma: no cover - debugging aid
-            raise SchedulingError(
-                f"TDM run stalled with {self._phase_remaining} messages pending "
-                f"at sim time {self.sim.now} ps "
-                f"({self.sim.pending} events still queued)"
-            )
 
     def _collect_counters(self) -> dict[str, int]:
         out = super()._collect_counters()
@@ -380,60 +359,38 @@ class TdmNetwork(BaseNetwork):
         self._program_gen += 1
         if phase.preload_configs:
             configs = list(phase.preload_configs)
-            self._program = PreloadProgram(
-                n=self.params.n_ports,
-                k_preload=self.k_preload,
-                batches=[
-                    configs[i : i + self.k_preload]
-                    for i in range(0, len(configs), self.k_preload)
-                ],
-            )
-            self._batch_idx = 0
-            self._load_batch(self._batch_idx, self._program_gen)
-            if self.mode == "preload" and phase.dynamic_conns():
-                raise SchedulingError(
-                    f"pure preload mode cannot serve statically-unknown "
-                    f"traffic in phase {phase.name!r}: "
-                    f"{len(phase.dynamic_conns())} dynamic connections "
-                    f"(e.g. {sorted(phase.dynamic_conns())[0]}); use hybrid mode"
-                )
-            return
-        static = StaticPattern(self.params.n_ports, phase.static_conns)
-        if len(static) == 0:
-            if self.mode == "preload" and phase.messages:
-                raise SchedulingError(
-                    f"pure preload mode cannot serve phase {phase.name!r}: "
-                    f"{len(phase.messages)} messages but no static "
-                    "communication information; use hybrid or dynamic mode"
-                )
-            # a phase with nothing to preload: hand any previously pinned
-            # registers back to the dynamic scheduler
-            self._program = None
-            self._batch_conns = set()
-            self._batch_remaining = 0
-            regs = self.scheduler.registers
-            for slot in list(regs.pinned):
-                regs.clear_slot(slot)
-            return
-        configs = self._compute_schedule(static, phase)
-        if configs is None:
-            self._program = PreloadProgram.compile(static, self.k_preload)
         else:
-            self._program = PreloadProgram(
-                n=self.params.n_ports,
-                k_preload=self.k_preload,
-                batches=[
-                    configs[i : i + self.k_preload]
-                    for i in range(0, len(configs), self.k_preload)
-                ],
-            )
+            static = StaticPattern(self.params.n_ports, phase.static_conns)
+            if len(static) == 0:
+                if self.mode == "preload" and phase.messages:
+                    raise SchedulingError(
+                        f"pure preload mode cannot serve phase {phase.name!r}: "
+                        f"{len(phase.messages)} messages but no static "
+                        "communication information; use hybrid or dynamic mode"
+                    )
+                # a phase with nothing to preload: hand any previously pinned
+                # registers back to the dynamic scheduler
+                self._program = None
+                self._batch_conns = set()
+                self._batch_remaining = 0
+                regs = self.scheduler.registers
+                for slot in list(regs.pinned):
+                    regs.clear_slot(slot)
+                return
+            configs = self._compute_schedule(static, phase)
+        k = self.k_preload
+        self._program = PreloadProgram(
+            n=self.params.n_ports,
+            k_preload=k,
+            batches=[configs[i : i + k] for i in range(0, len(configs), k)],
+        )
         self._batch_idx = 0
         self._load_batch(self._batch_idx, self._program_gen)
-        if self.mode == "preload" and phase.dynamic_conns():
+        if self.mode == "preload" and (dynamic := phase.dynamic_conns()):
             raise SchedulingError(
                 f"pure preload mode cannot serve statically-unknown traffic "
-                f"in phase {phase.name!r}: {len(phase.dynamic_conns())} "
-                f"dynamic connections; use hybrid mode"
+                f"in phase {phase.name!r}: {len(dynamic)} dynamic connections "
+                f"(e.g. {sorted(dynamic)[0]}); use hybrid mode"
             )
 
     def _static_demand(self, phase: TrafficPhase) -> dict[tuple[int, int], int]:
@@ -449,11 +406,11 @@ class TdmNetwork(BaseNetwork):
 
     def _compute_schedule(
         self, static: StaticPattern, phase: TrafficPhase
-    ) -> "list[ConfigMatrix] | None":
+    ) -> list[ConfigMatrix]:
         """Run the configured schedule computer over the static working set.
 
-        Returns the ordered configurations, or None for the default
-        (paper's exact-Δ Kempe colouring, compiled by the pattern itself).
+        Returns the ordered configurations; the default is the paper's
+        exact-Δ Kempe colouring, compiled by the pattern itself.
         """
         if self.schedule_computer == "solstice":
             demand = self._static_demand(phase)
@@ -466,7 +423,7 @@ class TdmNetwork(BaseNetwork):
                 coloring=self.coloring,
                 demand=demand,
             )
-        return None
+        return static.compile()
 
     def _load_batch(self, index: int, generation: int) -> None:
         """Load batch ``index`` into the pinned registers."""
@@ -489,10 +446,9 @@ class TdmNetwork(BaseNetwork):
                 self.tracer.record(now, "conn-release", src=u, dst=v, via="preload")
             for u, v in sorted(self._batch_conns - prev_conns):
                 self.tracer.record(now, "conn-establish", src=u, dst=v, via="preload")
-        if self._conn_ready is not None:
-            ready = self.sim.now + self.params.grant_wire_ps
-            for u, v in self._batch_conns:
-                self._conn_ready[u, v] = max(self._conn_ready[u, v], ready)
+        ready = self.sim.now + self.params.grant_wire_ps
+        for u, v in self._batch_conns:
+            self.conn_ready[u, v] = max(self.conn_ready[u, v], ready)
         # bytes still to transmit on this batch's connections: offered minus
         # sent covers queued, scripted (windowed), and future-injected alike
         # (earlier phases are fully sent by the phase barrier); bytes already
@@ -556,9 +512,7 @@ class TdmNetwork(BaseNetwork):
             # a new phase refilled the queue while the drop was in flight
             sched.set_request(u, v, True)
             return
-        if self.tracer.enabled and sched.r_view[u, v]:
-            self.tracer.record(self.sim.now, "req-drop", src=u, dst=v)
-        sched.set_request(u, v, False)
+        self._set_request_line(sched, u, v, False)
         sched.latch(u, v, hold)
 
     # -- the TDM slot clock ---------------------------------------------------------------
@@ -575,8 +529,7 @@ class TdmNetwork(BaseNetwork):
             self.crossbar.apply(sched.registers[slot])
             self._transfer_slot(slot, t)
             self._maybe_advance_batch()
-        if self._phase_remaining > 0 or self.sim.pending > 0:
-            self.sim.schedule(self.params.slot_ps, self._slot_tick, priority=Priority.FABRIC)
+        self._rearm_slot_clock(self._slot_tick)
         if fp.armed:
             # with both clocks re-armed the window precomputation can see
             # the full heap; opening is refused unless provably safe
@@ -589,15 +542,14 @@ class TdmNetwork(BaseNetwork):
         connections to the ledger; this applies the network's reactions to
         what moved, connection by connection in input-port order.
         """
-        params = self.params
         sched = self.scheduler
         assert sched is not None and self._fastpath is not None
-        assert self._conn_ready is not None and self.crossbar is not None
+        assert self.crossbar is not None
         cfg = sched.registers[slot]
         self._slot_opportunities += len(cfg)
         faults_active = self._faults_active
         moves = self._fastpath.transfer_slot(
-            cfg, t, self._conn_ready, self._link_down if faults_active else None
+            cfg, t, self.conn_ready, self._link_down if faults_active else None
         )
         tracer = self.tracer
         trace = tracer.enabled
@@ -625,14 +577,7 @@ class TdmNetwork(BaseNetwork):
                     self._feed_nic(u)
             if self.nics[u].voqs.bytes_pending[v] == 0:
                 hold = self.predictor.on_empty(u, v, t)
-                self.sim.schedule(
-                    params.request_wire_ps,
-                    self._request_drop,
-                    u,
-                    v,
-                    hold,
-                    priority=Priority.WIRE,
-                )
+                self._request_wire(self._request_drop, u, v, hold)
         if trace:
             tracer.record(
                 t, "slot-transfer", slot=slot, conns=len(moves), bytes=sum(m[2] for m in moves)
@@ -661,16 +606,12 @@ class TdmNetwork(BaseNetwork):
         # the pass latches after one scheduler period; the grant then rides
         # the grant wire to the NIC before the connection can carry data
         ready = t + self.params.scheduler_pass_ps + self.params.grant_wire_ps
-        assert self._conn_ready is not None
         for p in passes:
             if p.outcome is None:
                 continue
             for tog in p.outcome.established:
-                self._conn_ready[tog.u, tog.v] = ready
-        if self._phase_remaining > 0 or self.sim.pending > 0:
-            self.sim.schedule(
-                self.params.scheduler_pass_ps, self._sl_tick, priority=Priority.SCHEDULER
-            )
+                self.conn_ready[tog.u, tog.v] = ready
+        self._rearm_sl_clock(self._sl_tick)
 
     # -- lifecycle policy callbacks (repro.networks.lifecycle) ------------------------------------
     #
@@ -678,9 +619,6 @@ class TdmNetwork(BaseNetwork):
     # escalation, and give-up; these callbacks supply TDM's policy: a watch
     # covers one (u, v) connection for as long as bytes are pending and no
     # slot carries it, and losing a pinned slot degrades to dynamic mode.
-
-    def lifecycle_watch_ref(self, u: int, v: int) -> tuple[Connection, int | None]:
-        return (u, v), None
 
     def lifecycle_watch_resolved(self, u: int, v: int, seq: int | None) -> bool:
         if self.nics[u].voqs.bytes_pending[v] <= 0:
@@ -702,13 +640,7 @@ class TdmNetwork(BaseNetwork):
         )
 
     def lifecycle_retry(self, u: int, v: int) -> None:
-        self.sim.schedule(
-            self.params.request_wire_ps,
-            self._request_rise,
-            u,
-            v,
-            priority=Priority.WIRE,
-        )
+        self._request_wire(self._request_rise, u, v)
 
     def lifecycle_mgmt_remap(self, u: int, v: int) -> bool:
         sched = self.scheduler
@@ -717,9 +649,8 @@ class TdmNetwork(BaseNetwork):
         slot = sched.mgmt_establish(u, v)
         if slot is None:
             return False
-        assert self._conn_ready is not None
         ready = self.sim.now + self.params.grant_wire_ps
-        self._conn_ready[u, v] = max(self._conn_ready[u, v], ready)
+        self.conn_ready[u, v] = max(self.conn_ready[u, v], ready)
         self.tracer.record(self.sim.now, "mgmt-remap", src=u, dst=v, slot=slot)
         return True
 
@@ -728,17 +659,7 @@ class TdmNetwork(BaseNetwork):
         sched = self.scheduler
         assert sched is not None
         removed = self.nics[u].voqs.purge(v)
-        victims: list[Message] = list(removed)
-        if self._scripts:
-            script = self._scripts[u]
-            keep: deque = deque()
-            for m in script:
-                if m.dst == v:
-                    victims.append(m)
-                else:
-                    keep.append(m)
-            self._scripts[u] = keep
-        for m in victims:
+        for m in [*removed, *self._purge_script(u, v)]:
             self._drop_message(m, "unrecoverable")
         sched.set_request(u, v, False)
         sched.latch(u, v, False)
@@ -763,24 +684,12 @@ class TdmNetwork(BaseNetwork):
         n = self.params.n_ports
         sched = self.scheduler
         assert sched is not None
+        victims = self._purge_port(port)
         freed = [0] * n
-        victims: list[Message] = []
-        for nic in self.nics:
-            removed = nic.voqs.purge() if nic.port == port else nic.voqs.purge(port)
-            freed[nic.port] += len(removed)
-            victims.extend(removed)
-        if self._scripts:
-            for u in range(n):
-                script = self._scripts[u]
-                if not script:
-                    continue
-                keep: deque = deque()
-                for m in script:
-                    if u == port or m.dst == port:
-                        victims.append(m)
-                    else:
-                        keep.append(m)
-                self._scripts[u] = keep
+        for m in victims:
+            freed[m.src] += 1
+        for u in range(n):
+            victims.extend(self._purge_script(u, None if u == port else port))
         for m in victims:
             self._drop_message(m, "dead-link")
         sched.drop_port(port)

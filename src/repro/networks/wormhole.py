@@ -162,16 +162,18 @@ class WormholeNetwork(BaseNetwork):
             # the link returns (dead links instead drain what is in flight)
             self.worm_blocks += 1
             port.waiting.append(worm)
-            self.tracer.record(
-                self.sim.now, "worm-blocked", src=worm.msg.src, dst=worm.msg.dst
-            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now, "worm-blocked", src=worm.msg.src, dst=worm.msg.dst
+                )
             return
         if port.busy:
             self.worm_blocks += 1
             port.waiting.append(worm)
-            self.tracer.record(
-                self.sim.now, "worm-blocked", src=worm.msg.src, dst=worm.msg.dst
-            )
+            if self.tracer.enabled:
+                self.tracer.record(
+                    self.sim.now, "worm-blocked", src=worm.msg.src, dst=worm.msg.dst
+                )
         else:
             self._arbitrate(port, worm)
 
@@ -234,7 +236,8 @@ class WormholeNetwork(BaseNetwork):
             self.sim.schedule_at(
                 deliver_ps, self._deliver, record, priority=Priority.NIC
             )
-        self.tracer.record(t, "worm-granted", src=u, dst=v, bytes=worm.size)
+        if self.tracer.enabled:
+            self.tracer.record(t, "worm-granted", src=u, dst=v, bytes=worm.size)
 
     def _port_freed(self, v: int) -> None:
         port = self._ports[v]

@@ -32,12 +32,11 @@ provably finite (asserted by :mod:`repro.service.invariants`).
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from ..errors import ConfigurationError
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..networks.base import MAX_EVENTS_PER_PHASE
+from ..networks.lifecycle import LifecycleClient
 from ..obs.events import Kind
 from ..params import SystemParams
 from ..sim.engine import Priority
@@ -54,7 +53,7 @@ __all__ = ["SwitchService"]
 Pair = tuple[int, int]
 
 
-class SwitchService:
+class SwitchService(LifecycleClient):
     """Admission control + lease lifecycle over one live fabric."""
 
     def __init__(
@@ -280,9 +279,6 @@ class SwitchService:
     # through these; the service's answers make overload starvation and
     # fault recovery share the same bounded watchdog ladder.
 
-    def lifecycle_watch_ref(self, u: int, v: int) -> tuple[Hashable, int | None]:
-        return ((u, v), None)
-
     def lifecycle_watch_resolved(self, u: int, v: int, seq: int | None) -> bool:
         pair = (u, v)
         if self.pending.get(pair):
@@ -296,9 +292,6 @@ class SwitchService:
         if self.pending.get(pair):
             return True
         return bool(self.leases.get(pair)) and not self.fabric.established(u, v)
-
-    def lifecycle_awaiting_sl_dead(self, u: int, v: int) -> bool:
-        return self.lifecycle_awaiting_grant(u, v)
 
     def lifecycle_retry(self, u: int, v: int) -> None:
         self.sim.schedule(

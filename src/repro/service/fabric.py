@@ -75,9 +75,7 @@ class LiveFabric(BaseNetwork):
         else:  # hybrid
             self.k_preload = cfg.k_preload if cfg.k_preload is not None else max(1, cfg.k // 2)
         self.scheduler = Scheduler(params, cfg.k)
-        self.scheduler.tracer = self.tracer
-        self.scheduler.clock = lambda: self.sim.now
-        self.scheduler.strict = self.strict
+        self._wire_scheduler(self.scheduler)
         #: pairs currently resident in pinned (preloaded) slots
         self.preloaded_pairs: set[tuple[int, int]] = set()
         #: circuits left behind in stuck slots by a failed teardown

@@ -210,11 +210,7 @@ class FastPath:
             return False  # the pass would toggle: run the real one
         sched.skip_inert_passes(1, blocked)
         self.trivial_sl_ticks += 1
-        net = self.net
-        if net._phase_remaining > 0 or self.sim.pending > 0:
-            self.sim.schedule(
-                net.params.scheduler_pass_ps, net._sl_tick, priority=Priority.SCHEDULER
-            )
+        self.net._rearm_sl_clock(self.net._sl_tick)
         return True
 
     # -- quiescent windows -----------------------------------------------------
@@ -295,8 +291,7 @@ class FastPath:
         # grows with the head's remaining bytes, so the slot's shortest
         # head decides it.  The break only moves earlier as slots are
         # added, so a break too near to leave a window ends the analysis.
-        conn_ready = net._conn_ready
-        assert conn_ready is not None
+        conn_ready = net.conn_ready
         qb = net.queue_bytes
         slot_bytes = net.params.slot_bytes
         nics = net.nics

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
+from repro.faults.injector import FaultInjector
+from repro.faults.model import FaultEvent, FaultKind
+from repro.faults.schedule import FaultSchedule
 from repro.networks.tdm import TdmNetwork
 from repro.params import PAPER_PARAMS
 from repro.predict.timeout import TimeoutPredictor
@@ -194,6 +197,29 @@ class TestInjectionWindow:
         net = TdmNetwork(params, k=2, mode="preload", injection_window=2)
         result = _run(net, pattern)
         assert len(result.records) == 7
+
+    @pytest.mark.parametrize("window", [None, 4])
+    def test_windowed_injection_drops_traffic_to_a_dead_port(self, params, window):
+        """A message injected after its destination died is dropped at
+        admission, with or without the injection window; a windowed run
+        that queued it instead would spin until its wall-clock budget."""
+        faults = FaultInjector(
+            FaultSchedule((FaultEvent(time_ps=1, kind=FaultKind.LINK_FAIL, port=3),))
+        )
+        net = TdmNetwork(
+            params,
+            k=2,
+            mode="dynamic",
+            injection_window=window,
+            faults=faults,
+            max_wall_s=2.0,
+        )
+        first = TrafficPhase("first", [Message(0, 1, 64), Message(2, 5, 64)])
+        second = TrafficPhase("second", [Message(0, 3, 64)])
+        assign_seq([first, second])
+        result = net.run([first, second])
+        assert [(r.src, r.dst) for r in result.records] == [(0, 1), (2, 5)]
+        assert [(d.src, d.dst, d.reason) for d in result.drops] == [(0, 3, "dead-link")]
 
 
 class TestPredictorIntegration:
