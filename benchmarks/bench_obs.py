@@ -17,15 +17,16 @@ import time
 
 from conftest import archive, bench_params
 
-from repro.experiments.common import DEFAULT_SEED, figure4_schemes
+from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.figure4 import figure4_patterns
+from repro.networks.registry import RunSpec, build_network
 from repro.obs import TracedRun, derive_spans, format_perf, to_chrome_trace
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
 
 
 def _run_once(params, tracer=None):
-    net = figure4_schemes(params)["dynamic-tdm"](tracer)
+    net = build_network(RunSpec("dynamic-tdm", params, tracer=tracer))
     pattern = figure4_patterns(params)["random-mesh"](512)
     phases = pattern.phases(RngStreams(DEFAULT_SEED))
     result = net.run(phases, pattern.name)

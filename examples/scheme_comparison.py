@@ -12,9 +12,10 @@ Run:  python examples/scheme_comparison.py [pattern]
 import sys
 
 from repro import PAPER_PARAMS
-from repro.experiments.common import figure4_schemes, measure
+from repro.experiments.common import FIGURE4_SCHEMES, measure
 from repro.experiments.figure4 import figure4_patterns
 from repro.metrics.report import format_series
+from repro.networks.registry import RunSpec, build_network
 
 
 def main(pattern_name: str = "random-mesh") -> None:
@@ -24,12 +25,14 @@ def main(pattern_name: str = "random-mesh") -> None:
     patterns = figure4_patterns(params, mesh_rounds=2, nn_rounds=4)
     if pattern_name not in patterns:
         raise SystemExit(f"unknown pattern {pattern_name!r}; pick from {list(patterns)}")
-    schemes = figure4_schemes(params)
 
     series: dict[str, list[float]] = {}
-    for scheme_name, factory in schemes.items():
+    for scheme_name in FIGURE4_SCHEMES:
         series[scheme_name] = [
-            measure(patterns[pattern_name](size), factory()).efficiency
+            measure(
+                patterns[pattern_name](size),
+                build_network(RunSpec(scheme_name, params)),
+            ).efficiency
             for size in sizes
         ]
 

@@ -364,8 +364,9 @@ _TRACE_EXTENSIONS = {"chrome": "json", "jsonl": "jsonl", "csv": "csv"}
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .experiments.common import figure4_schemes
+    from .experiments.common import FIGURE4_SCHEMES
     from .experiments.figure4 import figure4_patterns
+    from .networks.registry import RunSpec, build_network
     from .obs import (
         TracedRun,
         profile_run,
@@ -379,16 +380,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     params = _params(args)
     pattern_name = "random-mesh" if args.experiment == "figure4" else args.experiment
-    factories = figure4_schemes(params)
-    wanted = _csv_list(args.schemes) if args.schemes else list(factories)
+    wanted = _csv_list(args.schemes) if args.schemes else list(FIGURE4_SCHEMES)
     for name in wanted:
-        if name not in factories:
-            print(f"unknown scheme {name!r}; choose from {sorted(factories)}")
+        if name not in FIGURE4_SCHEMES:
+            print(f"unknown scheme {name!r}; choose from {sorted(FIGURE4_SCHEMES)}")
             return 2
     runs: list[TracedRun] = []
     for name in wanted:
         tracer = Tracer(capacity=args.capacity)
-        net = factories[name](tracer)
+        net = build_network(RunSpec(name, params, tracer=tracer))
         # every scheme sees a byte-identical workload realisation
         pattern = figure4_patterns(params)[pattern_name](args.bytes)
         phases = pattern.phases(RngStreams(args.seed))

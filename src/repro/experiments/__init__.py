@@ -1,6 +1,6 @@
 """Experiment drivers regenerating every table and figure of the paper."""
 
-from .common import DEFAULT_SEED, ExperimentPoint, figure4_schemes, measure
+from .common import DEFAULT_SEED, ExperimentPoint, measure
 from .compare import (
     COMPARE_SCHEMES,
     COMPARE_SIZES,
@@ -19,7 +19,6 @@ from .table3 import format_table3, run_table3
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentPoint",
-    "figure4_schemes",
     "measure",
     "COMPARE_SCHEMES",
     "COMPARE_SIZES",

@@ -12,24 +12,18 @@ bandwidth efficiency of Figures 4/5.  Two rules keep comparisons honest:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..faults.injector import FaultInjector
 from ..metrics.efficiency import efficiency_from_bound, run_lower_bound_ps
 from ..networks.base import BaseNetwork, RunResult
-from ..networks.registry import DEFAULT_INJECTION_WINDOW, RunSpec, build_network
-from ..params import SystemParams
 from ..sim.rng import RngStreams
-from ..sim.trace import Tracer
 from ..traffic.base import TrafficPattern
 
 __all__ = [
     "ExperimentPoint",
+    "guarded_efficiency",
     "measure",
-    "figure4_schemes",
     "FIGURE4_SCHEMES",
     "DEFAULT_SEED",
-    "DEFAULT_INJECTION_WINDOW",
 ]
 
 DEFAULT_SEED = 20050404  # IPPS 2005 in Denver started April 4
@@ -49,6 +43,20 @@ class ExperimentPoint:
     counters: dict[str, int]
 
 
+def guarded_efficiency(bound_ps: int, makespan_ps: int) -> float:
+    """:func:`efficiency_from_bound`, but 0.0 for empty or degenerate cells.
+
+    An empty traffic realisation yields bound 0 and makespan 0, which the
+    strict validator rejects with :class:`ConfigurationError`.  A sweep
+    report wants a (zero) row for such a cell, not a crash — the same
+    convention :func:`repro.metrics.latencies.summarize_latencies` uses
+    for empty runs.
+    """
+    if bound_ps <= 0 or makespan_ps <= 0:
+        return 0.0
+    return efficiency_from_bound(bound_ps, makespan_ps)
+
+
 def measure(
     pattern: TrafficPattern,
     network: BaseNetwork,
@@ -62,7 +70,7 @@ def measure(
         scheme=network.scheme,
         pattern=pattern.name,
         size_bytes=pattern.size_bytes,
-        efficiency=efficiency_from_bound(bound, result.makespan_ps),
+        efficiency=guarded_efficiency(bound, result.makespan_ps),
         makespan_ps=result.makespan_ps,
         lower_bound_ps=bound,
         total_bytes=result.total_bytes,
@@ -73,41 +81,3 @@ def measure(
 #: the scheme set Figure 4 compares (canonical registry names, in the
 #: paper's presentation order)
 FIGURE4_SCHEMES: tuple[str, ...] = ("wormhole", "circuit", "dynamic-tdm", "preload")
-
-
-def figure4_schemes(
-    params: SystemParams,
-    k: int = 4,
-    injection_window: int | None = DEFAULT_INJECTION_WINDOW,
-) -> dict[str, Callable[..., BaseNetwork]]:
-    """The four switching schemes Figure 4 compares, as fresh factories.
-
-    Every factory resolves through the scheme registry
-    (:mod:`repro.networks.registry`), so the TDM defaults here and in the
-    fault campaigns cannot silently diverge.  The TDM entries use
-    multiplexing degree ``k`` (the paper uses 4) and the given injection
-    window; wormhole and circuit switching serve each source's messages
-    strictly in order, so the window does not apply to them.  Each factory
-    accepts an optional tracer (so ``repro trace`` can instrument the very
-    networks the experiments measure) and an optional fault injector (so
-    the fault campaigns reuse these exact configurations).
-    """
-
-    def factory(scheme: str) -> Callable[..., BaseNetwork]:
-        def make(
-            tracer: Tracer | None = None, faults: FaultInjector | None = None
-        ) -> BaseNetwork:
-            return build_network(
-                RunSpec(
-                    scheme=scheme,
-                    params=params,
-                    k=k,
-                    injection_window=injection_window,
-                    tracer=tracer,
-                    faults=faults,
-                )
-            )
-
-        return make
-
-    return {scheme: factory(scheme) for scheme in FIGURE4_SCHEMES}

@@ -17,9 +17,10 @@ demand-ranked Solstice rounds.  Colouring ignores demand weights, so its
 register-file prefix is an arbitrary ``k``-subset of the colour classes;
 Solstice packs the heaviest edges first.
 
-Cells fan out through :func:`repro.exec.map_cells`; the CSV is
-bit-identical across invocations and across ``--jobs`` counts (checked in
-CI), and the coverage rows are pure seeded functions of the grid.
+The cells are Figure 4's (:func:`repro.experiments.figure4.run_grid`
+runs both sweeps); the CSV is bit-identical across invocations and
+across ``--jobs`` counts (checked in CI), and the coverage rows are pure
+seeded functions of the grid.
 """
 
 from __future__ import annotations
@@ -28,25 +29,19 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..compiled.coloring import decompose
-from ..exec import ExecStats, map_cells
-from ..metrics.efficiency import efficiency_from_bound, run_lower_bound_ps
+from ..exec import ExecStats
 from ..metrics.report import format_series, format_table
-from ..networks.base import RunResult
-from ..networks.registry import DEFAULT_INJECTION_WINDOW, RunSpec, build_network
 from ..params import PAPER_PARAMS, SystemParams
 from ..sched.solstice import schedule_coverage, solstice_schedule
 from ..sim.rng import RngStreams
 from ..traffic.base import TrafficPhase
 from .common import DEFAULT_SEED, ExperimentPoint
-from .figure4 import figure4_patterns
+from .figure4 import figure4_patterns, run_grid
 
 __all__ = [
     "COMPARE_SCHEMES",
     "COMPARE_SIZES",
-    "CompareCell",
     "CoverageRow",
-    "guarded_efficiency",
-    "run_compare_cell",
     "coverage_rows",
     "CompareResult",
     "run_compare",
@@ -65,67 +60,6 @@ COMPARE_SCHEMES: tuple[str, ...] = (
 #: default message sizes — the small/medium/large corners of the Figure 4
 #: sweep (the full nine-point sweep stays available via ``--sizes``)
 COMPARE_SIZES: tuple[int, ...] = (64, 256, 1024)
-
-
-def guarded_efficiency(bound_ps: int, makespan_ps: int) -> float:
-    """:func:`efficiency_from_bound`, but 0.0 for empty or degenerate cells.
-
-    An empty traffic realisation yields bound 0 and makespan 0, which the
-    strict validator rejects with :class:`ConfigurationError`.  A bake-off
-    report wants a (zero) row for such a cell, not a crash — the same
-    convention :func:`repro.metrics.latencies.summarize_latencies` uses
-    for empty runs.
-    """
-    if bound_ps <= 0 or makespan_ps <= 0:
-        return 0.0
-    return efficiency_from_bound(bound_ps, makespan_ps)
-
-
-@dataclass(slots=True, frozen=True)
-class CompareCell:
-    """One independent bake-off run cell: (pattern, scheme, size).
-
-    A plain value (:mod:`repro.exec.canonical`), like
-    :class:`~repro.experiments.figure4.Figure4Cell`: the ``seed`` is the
-    sweep's root seed so every scheme faces the byte-identical traffic
-    realisation.
-    """
-
-    pattern: str
-    scheme: str
-    size_bytes: int
-    params: SystemParams
-    k: int
-    mesh_rounds: int
-    nn_rounds: int
-    seed: int
-
-
-def run_compare_cell(cell: CompareCell) -> ExperimentPoint:
-    """Simulate one bake-off cell (the engine's runner function)."""
-    make_pattern = figure4_patterns(cell.params, cell.mesh_rounds, cell.nn_rounds)
-    pattern = make_pattern[cell.pattern](cell.size_bytes)
-    network = build_network(
-        RunSpec(
-            scheme=cell.scheme,
-            params=cell.params,
-            k=cell.k,
-            injection_window=DEFAULT_INJECTION_WINDOW,
-        )
-    )
-    phases = pattern.phases(RngStreams(cell.seed))
-    bound = run_lower_bound_ps(phases, network.params)
-    result: RunResult = network.run(phases, pattern_name=pattern.name)
-    return ExperimentPoint(
-        scheme=cell.scheme,
-        pattern=pattern.name,
-        size_bytes=cell.size_bytes,
-        efficiency=guarded_efficiency(bound, result.makespan_ps),
-        makespan_ps=result.makespan_ps,
-        lower_bound_ps=bound,
-        total_bytes=result.total_bytes,
-        counters=result.counters,
-    )
 
 
 # -- the coverage duel ------------------------------------------------------------
@@ -397,72 +331,45 @@ def run_compare(
     refresh: bool = False,
     progress: bool = False,
 ) -> CompareResult:
-    """Run (a subset of) the bake-off grid.
+    """Run (a subset of) the bake-off: :func:`run_grid` over
+    :data:`COMPARE_SCHEMES`, plus the coverage duel.
 
-    ``patterns``/``schemes`` restrict the grid (None = everything).  Cells
-    fan out over ``jobs`` workers (:func:`repro.exec.resolve_jobs`); the
-    result is bit-identical for any job count.  The coverage duel is a
-    pure function of (params, k, seed) and runs in-process.
+    The coverage duel is a pure function of (params, k, seed) and runs
+    in-process.
     """
-    pattern_factories = figure4_patterns(params, mesh_rounds, nn_rounds)
-    wanted_patterns = list(patterns or pattern_factories)
-    wanted_schemes = list(schemes or COMPARE_SCHEMES)
-    for name in wanted_patterns:
-        if name not in pattern_factories:
-            raise KeyError(name)
-    for name in wanted_schemes:
-        if name not in COMPARE_SCHEMES:
-            raise KeyError(name)
-    cells = [
-        CompareCell(
-            pattern=pattern_name,
-            scheme=scheme_name,
-            size_bytes=size,
-            params=params,
-            k=k,
-            mesh_rounds=mesh_rounds,
-            nn_rounds=nn_rounds,
-            seed=seed,
-        )
-        for pattern_name in wanted_patterns
-        for scheme_name in wanted_schemes
-        for size in sizes
-    ]
-    outcome = map_cells(
-        run_compare_cell,
-        cells,
-        root_seed=seed,
+    grid = run_grid(
+        COMPARE_SCHEMES,
+        params,
+        sizes,
+        patterns,
+        schemes,
+        k,
+        mesh_rounds,
+        nn_rounds,
+        seed,
+        label="compare",
         jobs=jobs,
         cache=cache,
         refresh=refresh,
-        label="compare",
         progress=progress,
     )
     result = CompareResult(
-        sizes=tuple(sizes),
-        patterns=tuple(wanted_patterns),
-        schemes=tuple(wanted_schemes),
+        sizes=grid.sizes,
+        patterns=tuple(grid.series),
+        schemes=tuple(schemes or COMPARE_SCHEMES),
+        series=grid.series,
+        points=grid.points,
         params=params,
         k=k,
         seed=seed,
-        exec_stats=outcome.stats,
+        exec_stats=grid.exec_stats,
     )
-    points = iter(outcome.payloads)
-    for pattern_name in wanted_patterns:
-        result.series[pattern_name] = {}
-        for scheme_name in wanted_schemes:
-            series: list[float] = []
-            for _ in sizes:
-                point = next(points)
-                series.append(point.efficiency)
-                result.points.append(point)
-            result.series[pattern_name][scheme_name] = series
     result.coverage = coverage_rows(
         params,
         k=k,
         mesh_rounds=mesh_rounds,
         nn_rounds=nn_rounds,
         seed=seed,
-        patterns=wanted_patterns,
+        patterns=result.patterns,
     )
     return result

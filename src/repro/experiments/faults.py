@@ -24,19 +24,18 @@ capacity.  The injector's applied/skipped counters make this explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..exec import ExecStats, map_cells
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..metrics.degradation import DegradationReport, degradation_report
 from ..metrics.report import format_csv, format_series
-from ..networks.base import BaseNetwork
+from ..networks.registry import RunSpec, build_network
 from ..params import PAPER_PARAMS, SystemParams
 from ..sim.rng import RngStreams
 from ..traffic.hybrid import HybridPattern
-from .common import DEFAULT_SEED, figure4_schemes
+from .common import DEFAULT_SEED, FIGURE4_SCHEMES
 
 __all__ = [
     "FAULT_RATES",
@@ -87,8 +86,11 @@ class FaultCell:
 
 
 def run_fault_cell(cell: FaultCell) -> FaultPoint:
-    """Run one fault campaign (or healthy baseline) cell."""
-    factories = _scheme_factories(cell.params, cell.k, cell.injection_window)
+    """Run one fault campaign (or healthy baseline) cell.
+
+    The network is built exactly as a Figure 4 cell builds it (the same
+    registry entry, ``k`` and injection window), plus the injector.
+    """
     pattern = HybridPattern(
         cell.params.n_ports,
         cell.size_bytes,
@@ -96,9 +98,8 @@ def run_fault_cell(cell: FaultCell) -> FaultPoint:
         messages_per_node=cell.messages_per_node,
         n_static=cell.n_static,
     )
-    if cell.rate_per_us == 0.0:
-        net = factories[cell.scheme](None)
-    else:
+    faults = None
+    if cell.rate_per_us != 0.0:
         schedule = FaultSchedule.generate(
             seed=cell.seed,
             rate_per_us=cell.rate_per_us,
@@ -106,8 +107,17 @@ def run_fault_cell(cell: FaultCell) -> FaultPoint:
             n_ports=cell.params.n_ports,
             k=cell.k,
         )
-        net = factories[cell.scheme](FaultInjector(schedule))
-        net.max_wall_s = cell.max_wall_s
+        faults = FaultInjector(schedule)
+    net = build_network(
+        RunSpec(
+            cell.scheme,
+            cell.params,
+            k=cell.k,
+            injection_window=cell.injection_window,
+            faults=faults,
+            max_wall_s=cell.max_wall_s,
+        )
+    )
     run = net.run(pattern.phases(RngStreams(cell.seed)), pattern_name=pattern.name)
     report = degradation_report(run)
     return FaultPoint(
@@ -170,27 +180,6 @@ class FaultsResult:
         return format_csv("faults_per_us", list(self.rates), columns)
 
 
-def _scheme_factories(
-    params: SystemParams, k: int, injection_window: int | None
-) -> dict[str, Callable[[FaultInjector | None], BaseNetwork]]:
-    """Figure-4's four schemes, parameterised by an optional injector.
-
-    Deliberately *the same* factories :func:`figure4_schemes` builds (both
-    resolve through the scheme registry), so the fault campaigns measure
-    exactly the networks Figure 4 measures — the TDM defaults cannot
-    silently diverge between the two experiments.
-    """
-    def bind(make: Callable[..., BaseNetwork], inj: FaultInjector | None) -> BaseNetwork:
-        return make(faults=inj)
-
-    return {
-        name: partial(bind, make)
-        for name, make in figure4_schemes(
-            params, k=k, injection_window=injection_window
-        ).items()
-    }
-
-
 def run_faults(
     params: SystemParams = PAPER_PARAMS,
     rates: Sequence[float] = FAULT_RATES,
@@ -217,12 +206,10 @@ def run_faults(
     healthy makespan keeps even badly stretched faulted runs under fire
     throughout), then every (rate > 0, scheme) campaign runs.
     """
-    factories = _scheme_factories(params, k, injection_window)
-    if schemes is not None:
-        unknown = set(schemes) - set(factories)
-        if unknown:
-            raise ValueError(f"unknown schemes {sorted(unknown)}")
-        factories = {name: factories[name] for name in schemes}
+    names = list(FIGURE4_SCHEMES if schemes is None else dict.fromkeys(schemes))
+    unknown = set(names) - set(FIGURE4_SCHEMES)
+    if unknown:
+        raise ValueError(f"unknown schemes {sorted(unknown)}")
 
     def cell(scheme: str, rate: float, horizon_ps: int) -> FaultCell:
         return FaultCell(
@@ -244,17 +231,17 @@ def run_faults(
     )
     healthy_outcome = map_cells(
         run_fault_cell,
-        [cell(name, 0.0, 0) for name in factories],
+        [cell(name, 0.0, 0) for name in names],
         label="faults-healthy",
         **exec_opts,
     )
-    healthy = dict(zip(factories, healthy_outcome.payloads))
+    healthy = dict(zip(names, healthy_outcome.payloads))
     horizon_ps = 2 * max(p.makespan_ps for p in healthy.values())
 
     campaign_rates = [rate for rate in rates if rate != 0.0]
     campaign_outcome = map_cells(
         run_fault_cell,
-        [cell(name, rate, horizon_ps) for rate in campaign_rates for name in factories],
+        [cell(name, rate, horizon_ps) for rate in campaign_rates for name in names],
         label="faults",
         **exec_opts,
     )
@@ -264,13 +251,13 @@ def run_faults(
         healthy_exec_stats=healthy_outcome.stats,
         exec_stats=campaign_outcome.stats,
     )
-    for name in factories:
+    for name in names:
         result.delivered[name] = []
         result.bandwidth[name] = []
         result.recovery_p99_ns[name] = []
     campaign_points = iter(campaign_outcome.payloads)
     for rate in result.rates:
-        for name in factories:
+        for name in names:
             point = healthy[name] if rate == 0.0 else next(campaign_points)
             result.points.append(point)
             result.delivered[name].append(point.report.delivered_fraction)

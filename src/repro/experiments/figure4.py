@@ -13,16 +13,20 @@ figure (checked by the integration tests):
   working set fits the degree-4 cache).
 * **Two Phase** — preload wins; dynamic TDM falls below wormhole (the
   all-to-all phase thrashes a degree-4 dynamically-scheduled cache).
+
+This module owns the (pattern x scheme x size) grid; the scheduler
+bake-off (:mod:`repro.experiments.compare`) runs it with two more
+entrants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..exec import ExecStats, map_cells
 from ..metrics.report import format_csv, format_series
-from ..networks.registry import DEFAULT_INJECTION_WINDOW, RunSpec, build_network
+from ..networks.registry import RunSpec, build_network
 from ..params import PAPER_PARAMS, SystemParams
 from ..traffic.base import TrafficPattern
 from ..traffic.mesh import OrderedMeshPattern, RandomMeshPattern
@@ -36,6 +40,7 @@ __all__ = [
     "figure4_patterns",
     "run_figure4_cell",
     "Figure4Result",
+    "run_grid",
     "run_figure4",
 ]
 
@@ -58,7 +63,10 @@ def figure4_patterns(
 
 @dataclass(slots=True, frozen=True)
 class Figure4Cell:
-    """One independent Figure 4 run cell: (pattern, scheme, size).
+    """One independent grid cell: (pattern, scheme, size).
+
+    Figure 4 and the ``repro compare`` bake-off run the same grid, and
+    so the same cells; they differ only in which schemes enter.
 
     A cell is a plain value (see :mod:`repro.exec.canonical`): everything
     the simulation depends on rides inside it, so the execution engine can
@@ -79,17 +87,16 @@ class Figure4Cell:
 
 
 def run_figure4_cell(cell: Figure4Cell) -> ExperimentPoint:
-    """Simulate one Figure 4 cell (the engine's runner function)."""
+    """Simulate one grid cell (the engine's runner function).
+
+    The point carries the cell's registry name (``"dynamic-tdm"``), not
+    the network's class label, so every sweep over this grid — Figure 4
+    and the ``repro compare`` bake-off — labels its points alike.
+    """
     make_pattern = figure4_patterns(cell.params, cell.mesh_rounds, cell.nn_rounds)
-    network = build_network(
-        RunSpec(
-            scheme=cell.scheme,
-            params=cell.params,
-            k=cell.k,
-            injection_window=DEFAULT_INJECTION_WINDOW,
-        )
-    )
-    return measure(make_pattern[cell.pattern](cell.size_bytes), network, seed=cell.seed)
+    network = build_network(RunSpec(cell.scheme, cell.params, k=cell.k))
+    point = measure(make_pattern[cell.pattern](cell.size_bytes), network, seed=cell.seed)
+    return replace(point, scheme=cell.scheme)
 
 
 @dataclass
@@ -122,37 +129,39 @@ class Figure4Result:
         return format_csv("bytes", list(self.sizes), self.series[pattern])
 
 
-def run_figure4(
-    params: SystemParams = PAPER_PARAMS,
-    sizes: Sequence[int] = MESSAGE_SIZES,
-    patterns: Sequence[str] | None = None,
-    schemes: Sequence[str] | None = None,
-    k: int = 4,
-    mesh_rounds: int = 4,
-    nn_rounds: int = 16,
-    seed: int = DEFAULT_SEED,
+def run_grid(
+    entrants: Sequence[str],
+    params: SystemParams,
+    sizes: Sequence[int],
+    patterns: Sequence[str] | None,
+    schemes: Sequence[str] | None,
+    k: int,
+    mesh_rounds: int,
+    nn_rounds: int,
+    seed: int,
     *,
-    jobs: int | None = None,
-    cache: object | None = None,
-    refresh: bool = False,
-    progress: bool = False,
+    label: str,
+    jobs: int | None,
+    cache: object | None,
+    refresh: bool,
+    progress: bool,
 ) -> Figure4Result:
-    """Run (a subset of) the Figure 4 sweep.
+    """Run the (pattern x scheme x size) grid over some of ``entrants``.
 
-    ``patterns``/``schemes`` restrict the grid (None = everything); the
-    benchmarks run panels separately so each appears as its own bench.
-    Cells fan out over ``jobs`` worker processes (see
-    :func:`repro.exec.resolve_jobs`); the result is bit-identical for any
-    job count, and ``jobs=1`` runs everything in-process in grid order.
+    ``patterns``/``schemes`` restrict the grid (None = every pattern,
+    every entrant); an unknown name raises :class:`KeyError`.  Cells fan
+    out over ``jobs`` worker processes (see :func:`repro.exec.resolve_jobs`);
+    the result is bit-identical for any job count, and ``jobs=1`` runs
+    everything in-process in grid order.
     """
     pattern_factories = figure4_patterns(params, mesh_rounds, nn_rounds)
     wanted_patterns = list(patterns or pattern_factories)
-    wanted_schemes = list(schemes or FIGURE4_SCHEMES)
+    wanted_schemes = list(schemes or entrants)
     for name in wanted_patterns:
         if name not in pattern_factories:
             raise KeyError(name)
     for name in wanted_schemes:
-        if name not in FIGURE4_SCHEMES:
+        if name not in entrants:
             raise KeyError(name)
     cells = [
         Figure4Cell(
@@ -176,7 +185,7 @@ def run_figure4(
         jobs=jobs,
         cache=cache,
         refresh=refresh,
-        label="figure4",
+        label=label,
         progress=progress,
     )
     result = Figure4Result(sizes=tuple(sizes), exec_stats=outcome.stats)
@@ -191,3 +200,41 @@ def run_figure4(
                 result.points.append(point)
             result.series[pattern_name][scheme_name] = series
     return result
+
+
+def run_figure4(
+    params: SystemParams = PAPER_PARAMS,
+    sizes: Sequence[int] = MESSAGE_SIZES,
+    patterns: Sequence[str] | None = None,
+    schemes: Sequence[str] | None = None,
+    k: int = 4,
+    mesh_rounds: int = 4,
+    nn_rounds: int = 16,
+    seed: int = DEFAULT_SEED,
+    *,
+    jobs: int | None = None,
+    cache: object | None = None,
+    refresh: bool = False,
+    progress: bool = False,
+) -> Figure4Result:
+    """Run (a subset of) the Figure 4 sweep: :func:`run_grid` over the
+    paper's four schemes.
+
+    The benchmarks run panels separately so each appears as its own bench.
+    """
+    return run_grid(
+        FIGURE4_SCHEMES,
+        params,
+        sizes,
+        patterns,
+        schemes,
+        k,
+        mesh_rounds,
+        nn_rounds,
+        seed,
+        label="figure4",
+        jobs=jobs,
+        cache=cache,
+        refresh=refresh,
+        progress=progress,
+    )

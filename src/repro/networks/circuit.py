@@ -265,21 +265,22 @@ class CircuitNetwork(BaseNetwork, LifecycleClient):
     #
     # The ConnectionManager drives watchdogs, retries, management-plane
     # escalation, and give-up; these callbacks supply circuit switching's
-    # policy: a watch covers a NIC's head-of-line message (the ``seq`` field
-    # self-cancels stale fires after the head advances), and giving up drops
-    # the head plus everything else queued to the same destination.
+    # policy: a watch covers a NIC's head-of-line message (its ``seq`` field
+    # holds the head's identity and self-cancels stale fires after the head
+    # advances; ``Message.seq`` need not be unique), and giving up drops the
+    # head plus everything else queued to the same destination.
 
     def lifecycle_watch_ref(self, u: int, v: int) -> tuple[int, int | None]:
         msg = self._current[u]
         assert msg is not None and msg.dst == v
-        return u, msg.seq
+        return u, id(msg)
 
     def lifecycle_watch_resolved(self, u: int, v: int, seq: int | None) -> bool:
         msg = self._current[u]
         # progressed — or blocked on a link, which the data plane handles
         return (
             msg is None
-            or msg.seq != seq
+            or id(msg) != seq
             or self._state[u] != _WAITING
             or u in self._link_blocked
         )

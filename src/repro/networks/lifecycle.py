@@ -58,8 +58,9 @@ class _Watch:
 
     ``seq`` lets schemes whose watch outlives the message it was armed for
     (circuit switching watches the head-of-line message of a port) detect
-    staleness: a fire whose ``seq`` no longer matches self-cancels.
-    Schemes that key watches purely by connection leave it ``None``.
+    staleness: a fire whose ``seq`` no longer matches self-cancels.  It is
+    a token that must differ per watched message (circuit switching uses
+    the head message's identity, since ``Message.seq`` may repeat).  Schemes that key watches purely by connection leave it ``None``.
     """
 
     u: int

@@ -145,13 +145,6 @@ class Simulator:
         """Stop the event loop after the current callback returns."""
         self._stopped = True
 
-    def peek_time(self) -> int | None:
-        """Time of the next non-cancelled event, or None if the heap is empty."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
-            self._dead_in_heap -= 1
-        return self._heap[0][0] if self._heap else None
-
     #: heap sizes below this are not worth compacting
     _COMPACT_FLOOR = 64
 

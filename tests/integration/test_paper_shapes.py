@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import figure4_schemes, measure
+from repro.experiments.common import measure
 from repro.experiments.figure5 import run_figure5
+from repro.networks.registry import RunSpec, build_network
 from repro.params import PAPER_PARAMS
 from repro.traffic.alltoall import AllToAllPattern
 from repro.traffic.mesh import OrderedMeshPattern, RandomMeshPattern
@@ -22,8 +23,7 @@ PARAMS = PAPER_PARAMS.with_overrides(n_ports=N)
 
 
 def _eff(pattern, scheme: str) -> float:
-    factory = figure4_schemes(PARAMS)[scheme]
-    return measure(pattern, factory()).efficiency
+    return measure(pattern, build_network(RunSpec(scheme, PARAMS))).efficiency
 
 
 class TestScatterShape:
@@ -138,13 +138,11 @@ class TestCrossSchemeInvariants:
     @pytest.mark.parametrize("scheme", ["wormhole", "circuit", "dynamic-tdm", "preload"])
     @pytest.mark.parametrize("size", [8, 80, 2048])
     def test_efficiency_in_unit_interval(self, scheme, size):
-        point = measure(
-            ScatterPattern(N, size), figure4_schemes(PARAMS)[scheme]()
-        )
+        point = measure(ScatterPattern(N, size), build_network(RunSpec(scheme, PARAMS)))
         assert 0.0 < point.efficiency <= 1.0
 
     @pytest.mark.parametrize("scheme", ["wormhole", "circuit", "dynamic-tdm", "preload"])
     def test_total_bytes_match(self, scheme):
         pattern = OrderedMeshPattern(N, 96, rounds=2)
-        point = measure(pattern, figure4_schemes(PARAMS)[scheme]())
+        point = measure(pattern, build_network(RunSpec(scheme, PARAMS)))
         assert point.total_bytes == N * 4 * 2 * 96

@@ -20,6 +20,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultEvent, FaultKind
@@ -145,6 +146,36 @@ def test_pinned_circuit_run_covers_the_recovery_paths():
     kinds = {kind for _, kind, _ in data["trace"]}
     assert {"circuit-tx", "req-rise", "req-drop", "mgmt-remap"} <= kinds
     assert any(p.get("reused") for _, kind, p in data["trace"] if kind == "circuit-tx")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_watchdog_follows_the_head_when_seqs_repeat(seed):
+    """Regression: a watch is keyed on the head-of-line message itself, not
+    on its ``seq``.  With every seq left at 0, a watch armed for an earlier
+    head (u -> v1) used to look current after the head moved on (u -> v2):
+    the new head was never watched and the run spun until the wall-clock
+    watchdog, or the old watch gave up on the wrong destination."""
+    phases = _phases(3)
+    for phase in phases:
+        for msg in phase.messages:
+            msg.seq = 0
+    schedule = FaultSchedule.generate(
+        seed=seed,
+        rate_per_us=2.0,
+        horizon_ps=us(12),
+        n_ports=N,
+        k=1,
+        weights=WEIGHTS,
+        mean_transient_ps=us(1),
+    )
+    net = CircuitNetwork(
+        PAPER_PARAMS.with_overrides(n_ports=N),
+        faults=FaultInjector(schedule),
+        max_wall_s=10.0,
+    )
+    result = net.run(phases, pattern_name="circuit-pin")
+    sent = sum(len(phase.messages) for phase in phases)
+    assert len(result.records) + len(result.drops) == sent
 
 
 if __name__ == "__main__":

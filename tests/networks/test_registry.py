@@ -123,8 +123,9 @@ class TestCanonicalDefaults:
     """Pin the shared TDM defaults so experiments cannot silently diverge.
 
     Figure 4 and the fault campaigns must measure the *same* networks;
-    both now resolve through :func:`figure4_schemes` and this registry,
-    and these tests pin the defaults they agree on.
+    both build theirs with :func:`build_network` from a :class:`RunSpec`
+    carrying the cell's ``k`` and injection window, and these tests pin the
+    defaults they agree on.
     """
 
     def test_registry_defaults(self):
@@ -134,21 +135,49 @@ class TestCanonicalDefaults:
         net = build_network(spec)
         assert (net.k, net.injection_window) == (4, 4)
 
-    def test_figure4_and_faults_build_identical_tdm_config(self):
-        from repro.experiments.common import figure4_schemes
-        from repro.experiments.faults import _scheme_factories
+    def test_figure4_and_faults_build_identical_tdm_config(self, monkeypatch):
+        from repro.experiments import faults, figure4
+        from repro.experiments.common import FIGURE4_SCHEMES
 
-        fig4 = figure4_schemes(PARAMS)
-        campaign = _scheme_factories(PARAMS, k=4, injection_window=4)
-        assert set(fig4) == set(campaign) == {
-            "wormhole",
-            "circuit",
-            "dynamic-tdm",
-            "preload",
-        }
+        class Built(Exception):
+            """Stops a cell once its network exists."""
+
+        def network_of(module, run_cell, cell):
+            def capture(spec):
+                raise Built(build_network(spec))
+
+            monkeypatch.setattr(module, "build_network", capture)
+            with pytest.raises(Built) as built:
+                run_cell(cell)
+            return built.value.args[0]
+
+        assert FIGURE4_SCHEMES == ("wormhole", "circuit", "dynamic-tdm", "preload")
         for name in ("dynamic-tdm", "preload"):
-            a = fig4[name]()
-            b = campaign[name](None)
+            fig4_cell = figure4.Figure4Cell(
+                pattern="scatter",
+                scheme=name,
+                size_bytes=64,
+                params=PARAMS,
+                k=4,
+                mesh_rounds=4,
+                nn_rounds=16,
+                seed=1,
+            )
+            campaign_cell = faults.FaultCell(
+                scheme=name,
+                rate_per_us=0.0,
+                horizon_ps=0,
+                params=PARAMS,
+                size_bytes=512,
+                messages_per_node=8,
+                n_static=2,
+                k=4,
+                injection_window=4,
+                seed=1,
+                max_wall_s=None,
+            )
+            a = network_of(figure4, figure4.run_figure4_cell, fig4_cell)
+            b = network_of(faults, faults.run_fault_cell, campaign_cell)
             assert type(a) is type(b) is TdmNetwork
             assert (a.k, a.mode, a.injection_window, a.k_preload) == (
                 b.k,

@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from repro.experiments.common import DEFAULT_SEED, figure4_schemes
+from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.figure4 import figure4_patterns
+from repro.networks.registry import RunSpec, build_network
 from repro.obs import (
     Kind,
     TracedRun,
@@ -33,7 +34,7 @@ def ev(t, kind, **payload):
 def traced_run(params, scheme, size=64, seed=DEFAULT_SEED):
     """Run one scheme traced; returns (tracer, RunResult)."""
     tracer = Tracer()
-    net = figure4_schemes(params)[scheme](tracer)
+    net = build_network(RunSpec(scheme, params, tracer=tracer))
     pattern = figure4_patterns(params)["random-mesh"](size)
     result = net.run(pattern.phases(RngStreams(seed)), pattern.name)
     return tracer, result

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import figure4_schemes
 from repro.experiments.figure4 import figure4_patterns
+from repro.networks.registry import RunSpec, build_network
 from repro.obs import (
     Kind,
     port_duty_cycle,
@@ -127,7 +127,7 @@ class TestUtilizationReport:
 
     def test_real_dynamic_tdm_run(self, params8):
         tracer = Tracer()
-        net = figure4_schemes(params8)["dynamic-tdm"](tracer)
+        net = build_network(RunSpec("dynamic-tdm", params8, tracer=tracer))
         pattern = figure4_patterns(params8)["random-mesh"](64)
         net.run(pattern.phases(RngStreams(1)), pattern.name)
         events = list(tracer.events())

@@ -144,16 +144,6 @@ class TestRunControls:
         sim.run()
         assert sim.events_executed == 5
 
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        ev = sim.schedule(5, lambda: None)
-        sim.schedule(9, lambda: None)
-        ev.cancel()
-        assert sim.peek_time() == 9
-
-    def test_peek_time_empty(self):
-        assert Simulator().peek_time() is None
-
     def test_run_until_idle(self):
         sim = Simulator()
         state = {"work": 3}

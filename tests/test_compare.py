@@ -5,15 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.compare import (
-    COMPARE_SCHEMES,
-    CompareCell,
-    coverage_rows,
-    guarded_efficiency,
-    run_compare,
-    run_compare_cell,
-)
-from repro.experiments.common import DEFAULT_SEED
+from repro.experiments.common import DEFAULT_SEED, FIGURE4_SCHEMES, guarded_efficiency
+from repro.experiments.compare import COMPARE_SCHEMES, coverage_rows, run_compare
+from repro.experiments.figure4 import Figure4Cell, run_figure4, run_figure4_cell
 from repro.metrics.efficiency import efficiency_from_bound
 from repro.params import PAPER_PARAMS
 
@@ -37,8 +31,8 @@ class TestGuardedEfficiency:
 class TestCells:
     def test_every_scheme_runs_one_cell(self):
         for scheme in COMPARE_SCHEMES:
-            point = run_compare_cell(
-                CompareCell(
+            point = run_figure4_cell(
+                Figure4Cell(
                     pattern="scatter",
                     scheme=scheme,
                     size_bytes=64,
@@ -51,6 +45,35 @@ class TestCells:
             )
             assert 0.0 < point.efficiency <= 1.0, scheme
             assert point.scheme == scheme
+
+
+class TestSameGridAsFigure4:
+    def test_figure4_cells_agree(self):
+        """The bake-off is the Figure 4 grid plus two entrants: on one small
+        grid, every cell of the four Figure 4 schemes reports the same
+        makespan, bound, bytes and efficiency in both sweeps."""
+        grid = dict(
+            params=PARAMS,
+            sizes=(8, 64),
+            patterns=("scatter", "random-mesh", "ordered-mesh", "two-phase"),
+            mesh_rounds=1,
+            nn_rounds=2,
+            cache=False,
+            jobs=1,
+        )
+        bakeoff = run_compare(**grid)
+        figure4 = run_figure4(**grid)
+
+        def key(p):
+            return p.pattern, p.scheme, p.size_bytes
+
+        def fields(p):
+            return p.makespan_ps, p.lower_bound_ps, p.total_bytes, p.efficiency
+
+        compared = {key(p): fields(p) for p in bakeoff.points}
+        assert len(figure4.points) == 4 * len(FIGURE4_SCHEMES) * 2
+        for p in figure4.points:
+            assert compared[key(p)] == fields(p), key(p)
 
 
 class TestDriver:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.ablations import ablation_fabrics
-from repro.experiments.common import figure4_schemes, measure
+from repro.experiments.common import FIGURE4_SCHEMES, measure
 from repro.experiments.faults import run_faults
 from repro.experiments.figure4 import figure4_patterns, run_figure4
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.table3 import format_table3, run_table3
+from repro.networks.registry import RunSpec, build_network
 from repro.params import PAPER_PARAMS
 from repro.traffic.scatter import ScatterPattern
 
@@ -39,22 +40,21 @@ class TestTable3Driver:
 
 class TestMeasure:
     def test_point_fields(self, params):
-        schemes = figure4_schemes(params)
-        point = measure(ScatterPattern(16, 64), schemes["wormhole"]())
+        point = measure(ScatterPattern(16, 64), build_network(RunSpec("wormhole", params)))
         assert point.scheme == "wormhole"
         assert point.pattern == "scatter"
         assert 0 < point.efficiency < 1
         assert point.lower_bound_ps <= point.makespan_ps
 
     def test_same_seed_same_result(self, params):
-        schemes = figure4_schemes(params)
-        a = measure(ScatterPattern(16, 64), schemes["dynamic-tdm"](), seed=5)
-        b = measure(ScatterPattern(16, 64), schemes["dynamic-tdm"](), seed=5)
+        spec = RunSpec("dynamic-tdm", params)
+        a = measure(ScatterPattern(16, 64), build_network(spec), seed=5)
+        b = measure(ScatterPattern(16, 64), build_network(spec), seed=5)
         assert a.makespan_ps == b.makespan_ps
 
     def test_all_schemes_run(self, params):
-        for name, factory in figure4_schemes(params).items():
-            point = measure(ScatterPattern(16, 64), factory())
+        for name in FIGURE4_SCHEMES:
+            point = measure(ScatterPattern(16, 64), build_network(RunSpec(name, params)))
             assert point.efficiency > 0, name
 
 
