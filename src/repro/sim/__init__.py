@@ -13,7 +13,7 @@ from .clock import (
 )
 from .engine import Event, Priority, Simulator
 from .rng import RngStreams, stream
-from .stats import Counter, Histogram, OnlineStats
+from .stats import Counter, OnlineStats
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "RngStreams",
     "stream",
     "Counter",
-    "Histogram",
     "OnlineStats",
     "NULL_TRACER",
     "TraceEvent",
