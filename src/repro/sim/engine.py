@@ -68,10 +68,6 @@ class Event:
         if self.owner is not None:
             self.owner._note_cancelled()
 
-    @property
-    def cancelled(self) -> bool:
-        return self.fn is None
-
 
 @dataclass
 class Simulator:
@@ -258,42 +254,6 @@ class Simulator:
             self.events_executed += executed
             self.run_wall_s += monotonic() - wall_start
         return self.now
-
-    def run_until_idle(
-        self,
-        idle_check: Callable[[], bool],
-        poll_ps: int,
-        *,
-        until: int | None = None,
-        max_events: int | None = None,
-        max_wall_s: float | None = None,
-    ) -> int:
-        """Run, polling ``idle_check`` every ``poll_ps``; stop when it is true.
-
-        Useful for networks with periodic clocks that never drain the heap
-        on their own.  The safety valves (``until``, ``max_events``,
-        ``max_wall_s``) are forwarded to :meth:`run` unchanged, so a
-        watchdog guards polled runs exactly like plain ones.
-        """
-        # Track the queued probe so every exit path can cancel it: leaving
-        # via ``until``/``max_events``/the watchdog (or a ``stop()`` from
-        # another callback) would otherwise leak the self-rescheduling
-        # chain into every subsequent ``run()``.
-        armed: list[Event | None] = [None]
-
-        def probe() -> None:
-            armed[0] = None
-            if idle_check():
-                self.stop()
-            else:
-                armed[0] = self.schedule(poll_ps, probe, priority=Priority.MONITOR)
-
-        armed[0] = self.schedule(0, probe, priority=Priority.MONITOR)
-        try:
-            return self.run(until=until, max_events=max_events, max_wall_s=max_wall_s)
-        finally:
-            if armed[0] is not None:
-                armed[0].cancel()
 
     @property
     def pending(self) -> int:

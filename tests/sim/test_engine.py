@@ -144,99 +144,6 @@ class TestRunControls:
         sim.run()
         assert sim.events_executed == 5
 
-    def test_run_until_idle(self):
-        sim = Simulator()
-        state = {"work": 3}
-
-        def worker():
-            state["work"] -= 1
-            if state["work"]:
-                sim.schedule(10, worker)
-
-        sim.schedule(0, worker)
-        sim.run_until_idle(lambda: state["work"] == 0, poll_ps=5)
-        assert state["work"] == 0
-
-    def test_run_until_idle_forwards_max_events(self):
-        # regression: the safety valves used to be silently ignored
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(1, loop)
-
-        sim.schedule(1, loop)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(lambda: False, poll_ps=5, max_events=100)
-
-    def test_run_until_idle_forwards_until(self):
-        sim = Simulator()
-        hits = []
-        sim.schedule(10, hits.append, "early")
-        sim.schedule(100, hits.append, "late")
-        sim.run_until_idle(lambda: False, poll_ps=7, until=50)
-        assert hits == ["early"]
-        assert sim.now == 50
-
-    def test_run_until_idle_forwards_max_wall_s(self):
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(1, loop)
-
-        sim.schedule(1, loop)
-        with pytest.raises(SimulationError, match="watchdog"):
-            sim.run_until_idle(lambda: False, poll_ps=5, max_wall_s=0.0)
-
-    def test_run_until_idle_until_exit_cancels_probe(self):
-        # regression: exiting via `until` left the self-rescheduling
-        # MONITOR probe queued, where it re-armed in every later run()
-        sim = Simulator()
-        sim.schedule(100, lambda: None)
-        sim.run_until_idle(lambda: False, poll_ps=7, until=50)
-        assert sim.pending == 1  # only the 100 ps event; no leaked probe
-        sim.run()  # would never terminate with a live probe chain
-        assert sim.pending == 0
-
-    def test_run_until_idle_max_events_exit_cancels_probe(self):
-        sim = Simulator()
-        polls = []
-
-        def loop():
-            sim.schedule(1, loop)
-
-        def idle_check() -> bool:
-            polls.append(sim.now)
-            return False
-
-        sim.schedule(1, loop)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(idle_check, poll_ps=5, max_events=64)
-        before = len(polls)
-        # the cancelled probe must not poll again in later plain runs
-        with pytest.raises(SimulationError):
-            sim.run(max_events=32)
-        assert len(polls) == before
-
-    def test_run_until_idle_stop_exit_cancels_probe(self):
-        sim = Simulator()
-        sim.schedule(3, sim.stop)
-        sim.schedule(100, lambda: None)
-        sim.run_until_idle(lambda: False, poll_ps=50, until=None)
-        assert sim.pending == 1  # the 100 ps event only
-
-    def test_run_until_idle_idle_exit_leaves_no_probe(self):
-        sim = Simulator()
-        state = {"work": 2}
-
-        def worker():
-            state["work"] -= 1
-            if state["work"]:
-                sim.schedule(10, worker)
-
-        sim.schedule(0, worker)
-        sim.run_until_idle(lambda: state["work"] == 0, poll_ps=5)
-        assert sim.pending == 0
-
 
 class TestHeapCompaction:
     def test_pending_counts_live_events_only(self):
