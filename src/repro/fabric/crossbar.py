@@ -59,7 +59,3 @@ class Crossbar:
     def path_latency_ps(self) -> int:
         """End-to-end byte latency through the fabric (NIC to NIC)."""
         return self.timing.end_to_end_ps(self.params)
-
-    def transfer_window_ps(self) -> int:
-        """Usable data time within one TDM slot (slot minus guard band)."""
-        return self.params.slot_bytes * self.params.byte_ps

@@ -240,14 +240,6 @@ class ConfigRegisterFile:
             if s not in self.pinned and s not in self.quarantined
         ]
 
-    def all_connections(self) -> set[Connection]:
-        """The set of distinct connections established in in-service slots."""
-        out: set[Connection] = set()
-        for s, cfg in enumerate(self.slots):
-            if s not in self.quarantined:
-                out.update(cfg.connections())
-        return out
-
     def check_invariants(self) -> None:
         """Recompute B* from scratch and compare with the counts (test hook).
 

@@ -92,12 +92,6 @@ class RunResult:
     recovery_ps: list[int] = field(default_factory=list)
 
     @property
-    def throughput_bytes_per_ns(self) -> float:
-        if self.makespan_ps == 0:
-            return 0.0
-        return self.total_bytes * 1000.0 / self.makespan_ps
-
-    @property
     def delivered_fraction(self) -> float:
         """Fraction of injected messages that were fully delivered."""
         total = len(self.records) + len(self.drops)

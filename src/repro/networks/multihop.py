@@ -193,23 +193,6 @@ class MultiHopModel:
     def sweep(self, hop_counts: tuple[int, ...] = (1, 2, 4, 8)) -> list[HopComparison]:
         return [self.compare(h) for h in hop_counts]
 
-    def crossover_reuses(self, hops: int) -> int:
-        """Connection reuses needed before TDM beats wormhole on latency.
-
-        The first TDM message pays establishment; every further message on
-        the cached connection saves the per-hop arbitration wormhole keeps
-        paying.  Returns the smallest number of messages m for which
-        ``m`` TDM messages (1 establishment) finish before ``m`` wormhole
-        messages.
-        """
-        establishment = self.tdm_establishment_ps(hops)
-        tdm_per_msg = self.tdm_cached_message_ps(hops)
-        worm_per_msg = self.wormhole_message_ps(hops)
-        if worm_per_msg <= tdm_per_msg:
-            return 0  # wormhole never loses per-message: no crossover
-        saving = worm_per_msg - tdm_per_msg
-        return -(-establishment // saving)
-
     def _check(self, hops: int) -> SystemParams:
         if hops < 1:
             raise ConfigurationError("need at least one hop")

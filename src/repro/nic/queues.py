@@ -68,9 +68,6 @@ class VirtualOutputQueues:
         """The NIC's N-bit request signal R_u (True where a queue is non-empty)."""
         return self.bytes_pending > 0
 
-    def has_traffic(self, dst: int) -> bool:
-        return self.bytes_pending[dst] > 0
-
     def head(self, dst: int) -> Message | None:
         q = self._queues[dst]
         return q[0] if q else None

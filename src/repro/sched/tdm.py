@@ -53,10 +53,6 @@ class TdmCounter:
         self.advances += 1
         return slot
 
-    def peek(self, pending: np.ndarray | None = None) -> int | None:
-        """The slot :meth:`advance` would land on, without moving."""
-        return self._scan(pending, self.current)
-
     def cycle(self, pending: np.ndarray | None = None) -> list[int]:
         """The slots successive :meth:`advance` calls land on, one period.
 
@@ -90,8 +86,3 @@ class TdmCounter:
                 continue
             return candidate
         return None
-
-    @property
-    def effective_degree(self) -> int:
-        """Number of non-empty configurations (the paper's adaptive k_j)."""
-        return len(self.registers.active_slots())

@@ -139,9 +139,6 @@ class PortQueues:
             raise ConfigurationError(f"port {port} queue underflow")
         self._depths[port] -= 1
 
-    def depth_of(self, port: int) -> int:
-        return self._depths[port]
-
     @property
     def total(self) -> int:
         """Requests currently queued across every port."""

@@ -84,10 +84,6 @@ class ServiceDaemon:
             self._server.close()
             await self._server.wait_closed()
 
-    async def run_forever(self) -> None:
-        await self.start()
-        await self._stopping.wait()
-
     async def _pace(self) -> None:
         """Advance virtual time in fixed steps, executing due events."""
         step_ps = max(1, int(self.tick_s * self.us_per_wall_s * PS_PER_US))

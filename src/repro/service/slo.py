@@ -144,11 +144,6 @@ class SloRecorder:
         return self._w_granted + self._w_shed
 
     @property
-    def window_shed_rate(self) -> float:
-        decisions = self.window_decisions
-        return self._w_shed / decisions if decisions else 0.0
-
-    @property
     def window_pressure_rate(self) -> float:
         """Window shed rate *excluding* throttle sheds — the ladder's signal.
 

@@ -107,12 +107,6 @@ class TestQueries:
         regs.establish(2, 0, 1)
         assert regs.active_slots() == [2]
 
-    def test_all_connections(self):
-        regs = ConfigRegisterFile(4, 2)
-        regs.establish(0, 0, 1)
-        regs.establish(1, 2, 3)
-        assert regs.all_connections() == {(0, 1), (2, 3)}
-
     def test_presence_counts_copy(self):
         regs = ConfigRegisterFile(4, 2)
         regs.establish(0, 0, 1)

@@ -65,11 +65,6 @@ class TestCrossbar:
             xbar.apply(ConfigMatrix(4))
         assert xbar.reconfigurations == 3
 
-    def test_transfer_window_matches_slot_bytes(self):
-        params = PAPER_PARAMS.with_overrides(n_ports=4)
-        xbar = Crossbar(params, FabricTiming.lvds(params))
-        assert xbar.transfer_window_ps() == params.slot_bytes * params.byte_ps
-
     def test_negative_reconfig_rejected(self):
         params = PAPER_PARAMS.with_overrides(n_ports=4)
         with pytest.raises(ConfigurationError):

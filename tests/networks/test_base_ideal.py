@@ -81,12 +81,6 @@ class TestIdealNetwork:
         assert stats.count == 7
         assert stats.maximum <= result.makespan_ps
 
-    def test_throughput_property(self, params):
-        net = IdealNetwork(params)
-        result = net.run(ScatterPattern(8, 80).phases(RngStreams(0)))
-        # the source link runs at exactly 0.8 bytes/ns for the whole run
-        assert result.throughput_bytes_per_ns == pytest.approx(0.8)
-
 
 class TestIdealWithStaggeredInjection:
     def test_future_injects_respected(self, params):

@@ -86,13 +86,6 @@ class TestComparison:
         assert c.wormhole_stream_efficiency == pytest.approx(160 / 240)
         assert c.tdm_stream_efficiency > c.wormhole_stream_efficiency
 
-    def test_crossover_shrinks_with_hops(self, model):
-        """More hops -> wormhole pays more per message -> fewer reuses
-        needed to amortise the TDM establishment."""
-        reuses = [model.crossover_reuses(h) for h in (2, 4, 8)]
-        assert reuses == sorted(reuses, reverse=True)
-        assert all(r >= 1 for r in reuses)
-
     def test_small_message_single_hop_wormhole_wins_latency(self):
         """At one hop and tiny messages, wormhole's one-shot latency can
         beat TDM's slot alignment — the regime the paper concedes."""

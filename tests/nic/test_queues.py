@@ -20,8 +20,7 @@ class TestEnqueue:
         q = _voq()
         q.enqueue(Message(src=0, dst=1, size=64))
         assert q.bytes_pending[1] == 64
-        assert q.has_traffic(1)
-        assert not q.has_traffic(2)
+        assert q.request_vector().tolist() == [False, True, False, False]
 
     def test_wrong_source_rejected(self):
         q = _voq(src=0)

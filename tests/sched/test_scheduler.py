@@ -151,13 +151,6 @@ class TestTdmCounter:
         seq = [s.tdm.advance() for _ in range(4)]
         assert seq == [1, 3, 1, 3]
 
-    def test_effective_degree(self):
-        params = PAPER_PARAMS.with_overrides(n_ports=8)
-        s = Scheduler(params, k=4)
-        assert s.tdm.effective_degree == 0
-        s.registers.establish(0, 0, 1)
-        assert s.tdm.effective_degree == 1
-
     def test_pending_filter_skips_idle_configs(self):
         params = PAPER_PARAMS.with_overrides(n_ports=8)
         s = Scheduler(params, k=4)
@@ -174,13 +167,6 @@ class TestTdmCounter:
         s.registers.establish(0, 0, 1)
         pending = np.zeros((8, 8), dtype=bool)
         assert s.tdm.advance(pending) is None
-
-    def test_peek_does_not_move(self):
-        params = PAPER_PARAMS.with_overrides(n_ports=8)
-        s = Scheduler(params, k=4)
-        s.registers.establish(2, 0, 1)
-        assert s.tdm.peek() == 2
-        assert s.tdm.current == 0
 
 
 class TestPriorityPolicies:

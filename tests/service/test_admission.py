@@ -86,7 +86,7 @@ class TestPortQueues:
         assert not queues.try_enqueue(0)
         queues.dequeue(0)
         assert queues.try_enqueue(0)
-        assert queues.depth_of(0) == 1
+        assert queues.total == 1
 
     def test_high_water_tracks_peak(self):
         queues = PortQueues(n_ports=2, depth=8)
