@@ -16,7 +16,7 @@ and everything it is evaluated against:
   of connection sets into configurations, preload programs, working-set
   partitioning;
 * :mod:`repro.predict` — the time-out and usage-counter eviction
-  predictors plus compiler-hinted and oracle variants;
+  predictors and a Markov prefetcher;
 * :mod:`repro.traffic` — the paper's workloads (Scatter, Random/Ordered
   Mesh, Two Phase, the Figure-5 hybrid) and extra synthetic patterns;
 * :mod:`repro.hw` — the calibrated Table-3 scheduler latency/area model;

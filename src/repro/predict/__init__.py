@@ -2,18 +2,13 @@
 
 from .base import NullPredictor, Predictor
 from .counter import CounterPredictor
-from .hints import HintedPredictor, OraclePredictor
 from .markov import MarkovPrefetcher
 from .timeout import TimeoutPredictor
-from .tracker import WorkingSetTracker
 
 __all__ = [
     "NullPredictor",
     "Predictor",
     "CounterPredictor",
-    "HintedPredictor",
     "MarkovPrefetcher",
-    "OraclePredictor",
     "TimeoutPredictor",
-    "WorkingSetTracker",
 ]

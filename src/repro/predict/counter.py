@@ -64,9 +64,6 @@ class CounterPredictor(Predictor):
     def on_flush(self, t_ps: int) -> None:
         self._stamps.clear()
 
-    def forget(self, u: int, v: int) -> None:
-        self._stamps.pop(Connection(u, v), None)
-
     def stats(self) -> dict[str, int]:
         return {
             "holds": self.holds,

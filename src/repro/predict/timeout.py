@@ -52,10 +52,6 @@ class TimeoutPredictor(Predictor):
     def on_flush(self, t_ps: int) -> None:
         self._deadlines.clear()
 
-    def forget(self, u: int, v: int) -> None:
-        """Stop tracking (the connection was re-requested or released)."""
-        self._deadlines.pop(Connection(u, v), None)
-
     def on_fault(self, port: int, t_ps: int) -> None:
         """Fault-aware eviction: drop every deadline touching a dead port."""
         victims = [c for c in self._deadlines if port in c]

@@ -7,9 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.predict.base import NullPredictor
 from repro.predict.counter import CounterPredictor
-from repro.predict.hints import HintedPredictor, OraclePredictor
 from repro.predict.timeout import TimeoutPredictor
-from repro.predict.tracker import WorkingSetTracker
 from repro.types import Connection
 
 
@@ -49,12 +47,6 @@ class TestTimeoutPredictor:
         p = TimeoutPredictor(1000)
         p.on_empty(0, 1, 0)
         p.on_flush(10)
-        assert p.expired(10_000) == []
-
-    def test_forget(self):
-        p = TimeoutPredictor(1000)
-        p.on_empty(0, 1, 0)
-        p.forget(0, 1)
         assert p.expired(10_000) == []
 
     def test_stats(self):
@@ -101,96 +93,3 @@ class TestCounterPredictor:
         p.on_flush(0)
         p.on_use(5, 6, 0)
         assert p.expired(0) == []
-
-
-class TestHintedPredictor:
-    def test_pinned_never_evicted(self):
-        base = TimeoutPredictor(100)
-        p = HintedPredictor(base, pinned={Connection(0, 1)})
-        assert p.on_empty(0, 1, 0) is True
-        base.on_empty(0, 1, 0)  # even if the base tracks it
-        assert Connection(0, 1) not in p.expired(10_000)
-
-    def test_unpinned_delegates(self):
-        p = HintedPredictor(TimeoutPredictor(100))
-        assert p.on_empty(0, 1, 0) is True
-        assert p.expired(200) == [Connection(0, 1)]
-
-    def test_pin_unpin(self):
-        p = HintedPredictor(TimeoutPredictor(100))
-        p.pin(0, 1)
-        p.on_empty(0, 1, 0)
-        assert p.expired(10_000) == []
-        p.unpin(0, 1)
-        p.on_empty(0, 1, 10_000)
-        assert p.expired(20_001) == [Connection(0, 1)]
-
-    def test_flush_clears_pins(self):
-        p = HintedPredictor(TimeoutPredictor(100), pinned={Connection(0, 1)})
-        p.on_flush(0)
-        assert p.pinned == set()
-        assert p.stats()["flushes"] == 1
-
-
-class TestOraclePredictor:
-    def test_holds_if_reused_soon(self):
-        future = [(0, 1), (2, 3), (0, 1)]
-        p = OraclePredictor(future, horizon=8)
-        p.on_use(0, 1, 0)
-        assert p.on_empty(0, 1, 0) is True  # (0,1) appears again
-
-    def test_rejects_if_never_reused(self):
-        future = [(0, 1), (2, 3)]
-        p = OraclePredictor(future, horizon=8)
-        p.on_use(0, 1, 0)
-        assert p.on_empty(0, 1, 0) is False
-
-    def test_bad_horizon(self):
-        with pytest.raises(ConfigurationError):
-            OraclePredictor([], horizon=0)
-
-    def test_expires_when_out_of_horizon(self):
-        future = [(0, 1), (0, 1)] + [(2, 3)] * 10
-        p = OraclePredictor(future, horizon=2)
-        p.on_use(0, 1, 0)
-        assert p.on_empty(0, 1, 0) is True
-        p.on_use(0, 1, 0)  # consumes the reuse
-        assert Connection(0, 1) in p.expired(0) or p.on_empty(0, 1, 0) is False
-
-
-class TestWorkingSetTracker:
-    def test_window_eviction(self):
-        t = WorkingSetTracker(8, window_ps=1000)
-        t.on_use(0, 1, 0)
-        t.on_use(2, 3, 500)
-        assert t.sample(900) == 2
-        assert t.sample(1400) == 1  # (0,1) aged out
-
-    def test_reuse_refreshes(self):
-        t = WorkingSetTracker(8, window_ps=1000)
-        t.on_use(0, 1, 0)
-        t.on_use(0, 1, 800)
-        assert t.sample(1500) == 1
-
-    def test_required_degree(self):
-        t = WorkingSetTracker(8, window_ps=10_000)
-        t.on_use(0, 1, 0)
-        t.on_use(0, 2, 0)
-        t.on_use(1, 2, 0)
-        assert t.required_degree() == 2
-
-    def test_turnover(self):
-        t = WorkingSetTracker(8, window_ps=10_000)
-        t.on_use(0, 1, 0)
-        assert t.turnover({Connection(0, 1), Connection(2, 3)}) == 0.5
-        assert t.turnover(set()) == 0.0
-
-    def test_bad_window(self):
-        with pytest.raises(ConfigurationError):
-            WorkingSetTracker(8, 0)
-
-    def test_history(self):
-        t = WorkingSetTracker(8, window_ps=1000)
-        t.on_use(0, 1, 0)
-        t.sample(10)
-        assert t.history == [(10, 1)]
