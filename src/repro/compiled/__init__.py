@@ -1,12 +1,7 @@
 """Compiled communication: connection-set compilation and preload programs."""
 
 from .coloring import connection_degree, decompose, edge_color, verify_coloring
-from .directives import (
-    Directive,
-    FlushDirective,
-    LoadBatchDirective,
-    PreloadProgram,
-)
+from .directives import PreloadProgram
 from .frontend import (
     AllToAll,
     CompiledPhase,
@@ -22,16 +17,13 @@ from .frontend import (
     compile_program,
 )
 from .patterns import StaticPattern
-from .phases import partition_by_degree, phase_boundaries, working_set_series
+from .phases import working_set_series
 
 __all__ = [
     "connection_degree",
     "decompose",
     "edge_color",
     "verify_coloring",
-    "Directive",
-    "FlushDirective",
-    "LoadBatchDirective",
     "PreloadProgram",
     "AllToAll",
     "CompiledPhase",
@@ -46,7 +38,5 @@ __all__ = [
     "Unknown",
     "compile_program",
     "StaticPattern",
-    "partition_by_degree",
-    "phase_boundaries",
     "working_set_series",
 ]

@@ -1,10 +1,12 @@
-"""Compiler directives towards the scheduler.
+"""Compiled preload programs.
 
 Section 4, extensions 4 and 5: the NIC request signals can be augmented to
 (4) ask the scheduler to **flush** all established connections — the
 compiler inserts this between program regions with different communication
 patterns (Section 3.3) — and (5) to transmit **pre-defined configurations**
-to load into (or evict from) specific configuration registers.
+to load into (or evict from) specific configuration registers.  The TDM
+network's ``flush_on_phase`` option issues the flush at every phase
+boundary.
 
 A :class:`PreloadProgram` is the compiled artifact: per program phase, an
 ordered list of configuration *batches* sized to the preload register
@@ -22,28 +24,7 @@ from ..fabric.config import ConfigMatrix
 from ..types import Connection
 from .patterns import StaticPattern
 
-__all__ = ["Directive", "FlushDirective", "LoadBatchDirective", "PreloadProgram"]
-
-
-@dataclass(slots=True, frozen=True)
-class Directive:
-    """Base class for compiler directives (markers in the message stream)."""
-
-
-@dataclass(slots=True, frozen=True)
-class FlushDirective(Directive):
-    """Clear all established connections (Section 3.3 phase boundary)."""
-
-
-@dataclass(slots=True, frozen=True)
-class LoadBatchDirective(Directive):
-    """Load these configurations into the pinned preload slots."""
-
-    configs: tuple[ConfigMatrix, ...]
-
-    def __post_init__(self) -> None:
-        if not self.configs:
-            raise ConfigurationError("a load directive needs configurations")
+__all__ = ["PreloadProgram"]
 
 
 @dataclass
@@ -100,8 +81,3 @@ class PreloadProgram:
         for cfg in self.batches[index]:
             out.update(cfg.connections())
         return out
-
-    @property
-    def is_single_batch(self) -> bool:
-        """True when the whole pattern fits the preload registers at once."""
-        return self.n_batches <= 1

@@ -41,13 +41,6 @@ class StaticPattern:
                 pat.add(u, v)
         return pat
 
-    @classmethod
-    def from_config(cls, config: ConfigMatrix) -> "StaticPattern":
-        pat = cls(config.n)
-        for u, v in config.connections():
-            pat.add(u, v)
-        return pat
-
     def add(self, u: int, v: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ConfigurationError(f"connection ({u},{v}) out of range")
@@ -61,22 +54,10 @@ class StaticPattern:
             raise ConfigurationError("cannot union patterns of different sizes")
         return StaticPattern(self.n, self.conns | other.conns)
 
-    def intersection(self, other: "StaticPattern") -> "StaticPattern":
-        if other.n != self.n:
-            raise ConfigurationError("cannot intersect patterns of different sizes")
-        out = StaticPattern(self.n)
-        out.conns = self.conns & other.conns
-        return out
-
     @property
     def degree(self) -> int:
         """Optimal multiplexing degree k(C) = max port degree."""
         return connection_degree(self.conns, self.n)
-
-    @property
-    def is_permutation(self) -> bool:
-        """True if the whole pattern fits one configuration."""
-        return self.degree <= 1
 
     def compile(self) -> list[ConfigMatrix]:
         """Decompose into exactly ``degree`` conflict-free configurations."""

@@ -2,63 +2,19 @@
 
 Section 2 of the paper frames program communication as a sequence of
 working sets ``W(1) .. W(p)`` trading off the number of phases ``p``
-against the per-phase multiplexing degree ``k_j``.  This module provides
-the two analyses a compiler (or an offline trace profiler) would run:
-
-* :func:`partition_by_degree` — the greedy partition that keeps every
-  phase's working set realisable within ``k`` configurations (degree <= k),
-  cutting a new phase exactly when the next connection would exceed it;
-* :func:`working_set_series` — the sliding-window working-set size over a
-  trace, the quantity whose plateaus reveal phase structure (the locality
-  analysis of the papers cited in Section 3.1).
+against the per-phase multiplexing degree ``k_j``.
+:func:`working_set_series` gives the sliding-window working-set size over
+a trace, the quantity whose plateaus reveal phase structure (the locality
+analysis of the papers cited in Section 3.1).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError
-from ..types import Connection
 
-__all__ = ["partition_by_degree", "working_set_series", "phase_boundaries"]
-
-
-def partition_by_degree(
-    trace: Sequence[tuple[int, int]], n: int, k: int
-) -> list[set[Connection]]:
-    """Greedy partition of a connection trace into degree-<= k working sets.
-
-    Walking the trace in order, each connection joins the current working
-    set unless doing so would raise the set's maximum port degree above
-    ``k`` — then a new phase begins.  Every returned set is decomposable
-    into at most ``k`` configurations (König), so the whole program can run
-    with multiplexing degree ``k`` and one reconfiguration per boundary.
-    """
-    if k < 1:
-        raise ConfigurationError("k must be at least 1")
-    phases: list[set[Connection]] = []
-    current: set[Connection] = set()
-    out_deg = np.zeros(n, dtype=np.int64)
-    in_deg = np.zeros(n, dtype=np.int64)
-    for u, v in trace:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ConfigurationError(f"connection ({u},{v}) out of range")
-        conn = Connection(u, v)
-        if conn in current:
-            continue
-        if out_deg[u] + 1 > k or in_deg[v] + 1 > k:
-            phases.append(current)
-            current = set()
-            out_deg[:] = 0
-            in_deg[:] = 0
-        current.add(conn)
-        out_deg[u] += 1
-        in_deg[v] += 1
-    if current:
-        phases.append(current)
-    return phases
+__all__ = ["working_set_series"]
 
 
 def working_set_series(
@@ -88,30 +44,3 @@ def working_set_series(
         series.append(len(counts))
     return series
 
-
-def phase_boundaries(
-    trace: Sequence[tuple[int, int]], window: int, jump_fraction: float = 0.5
-) -> list[int]:
-    """Detect likely phase boundaries from working-set turnover.
-
-    Compares the connection sets of adjacent windows; an index ``i`` is a
-    boundary when more than ``jump_fraction`` of the upcoming window's
-    connections are absent from the previous window — the signature of a
-    working-set change the compiler-flush heuristic (Section 3.3) targets.
-    """
-    if not 0.0 < jump_fraction <= 1.0:
-        raise ConfigurationError("jump fraction must be in (0, 1]")
-    if len(trace) < 2 * window:
-        return []
-    boundaries: list[int] = []
-    i = window
-    while i + window <= len(trace):
-        prev = set(trace[i - window : i])
-        nxt = set(trace[i : i + window])
-        new = len(nxt - prev)
-        if new / len(nxt) > jump_fraction:
-            boundaries.append(i)
-            i += window  # skip past the transition region
-        else:
-            i += 1
-    return boundaries

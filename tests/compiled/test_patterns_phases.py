@@ -6,27 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compiled.directives import (
-    FlushDirective,
-    LoadBatchDirective,
-    PreloadProgram,
-)
+from repro.compiled.directives import PreloadProgram
 from repro.compiled.patterns import StaticPattern
-from repro.compiled.phases import (
-    partition_by_degree,
-    phase_boundaries,
-    working_set_series,
-)
+from repro.compiled.phases import working_set_series
 from repro.errors import ConfigurationError
 from repro.fabric.config import ConfigMatrix
-from repro.types import Connection
 
 
 class TestStaticPattern:
     def test_from_permutation(self):
         pat = StaticPattern.from_permutation([1, 2, 0])
         assert len(pat) == 3
-        assert pat.is_permutation
         assert pat.degree == 1
 
     def test_partial_permutation(self):
@@ -45,11 +35,6 @@ class TestStaticPattern:
     def test_union_size_mismatch(self):
         with pytest.raises(ConfigurationError):
             StaticPattern(4).union(StaticPattern(5))
-
-    def test_intersection(self):
-        a = StaticPattern(4, [(0, 1), (1, 2)])
-        b = StaticPattern(4, [(1, 2), (2, 3)])
-        assert b.intersection(a).conns == {Connection(1, 2)}
 
     def test_compile_covers(self):
         pat = StaticPattern(4, [(0, 1), (0, 2), (1, 2)])
@@ -71,11 +56,6 @@ class TestStaticPattern:
         with pytest.raises(ConfigurationError):
             StaticPattern(4).compile_batched(0)
 
-    def test_from_config_roundtrip(self):
-        cfg = ConfigMatrix.from_pairs(4, [(0, 1), (2, 3)])
-        pat = StaticPattern.from_config(cfg)
-        assert pat.conns == {Connection(0, 1), Connection(2, 3)}
-
 
 class TestPreloadProgram:
     def test_compile(self):
@@ -83,11 +63,6 @@ class TestPreloadProgram:
         prog = PreloadProgram.compile(pat, k_preload=1)
         assert prog.n_batches == pat.degree
         assert prog.covered == pat.conns
-
-    def test_single_batch(self):
-        pat = StaticPattern.from_permutation([1, 0, 3, 2])
-        prog = PreloadProgram.compile(pat, k_preload=2)
-        assert prog.is_single_batch
 
     def test_batch_connections(self):
         pat = StaticPattern(4, [(0, 1), (1, 0)])
@@ -101,43 +76,6 @@ class TestPreloadProgram:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             PreloadProgram(n=4, k_preload=1, batches=[[ConfigMatrix(5)]])
-
-    def test_directive_types(self):
-        assert FlushDirective()
-        with pytest.raises(ConfigurationError):
-            LoadBatchDirective(configs=())
-
-
-class TestPartitionByDegree:
-    def test_single_phase_when_fits(self):
-        trace = [(0, 1), (1, 2), (2, 3)]
-        phases = partition_by_degree(trace, 4, k=2)
-        assert len(phases) == 1
-
-    def test_cuts_on_degree_overflow(self):
-        trace = [(0, 1), (0, 2), (0, 3)]  # degree grows at source 0
-        phases = partition_by_degree(trace, 4, k=2)
-        assert len(phases) == 2
-        assert phases[0] == {Connection(0, 1), Connection(0, 2)}
-
-    def test_duplicates_free(self):
-        trace = [(0, 1)] * 10
-        assert len(partition_by_degree(trace, 4, k=1)) == 1
-
-    def test_every_phase_within_degree(self):
-        trace = [(u, v) for u in range(6) for v in range(6) if u != v]
-        for k in (1, 2, 3):
-            for phase in partition_by_degree(trace, 6, k=k):
-                pat = StaticPattern(6, phase)
-                assert pat.degree <= k
-
-    def test_bad_k(self):
-        with pytest.raises(ConfigurationError):
-            partition_by_degree([], 4, k=0)
-
-    def test_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            partition_by_degree([(0, 9)], 4, k=1)
 
 
 class TestWorkingSetSeries:
@@ -160,22 +98,3 @@ class TestWorkingSetSeries:
     def test_property_bounded_by_window(self, trace):
         series = working_set_series(trace, 5)
         assert all(1 <= s <= 5 for s in series)
-
-
-class TestPhaseBoundaries:
-    def test_detects_pattern_switch(self):
-        phase_a = [(0, 1), (1, 2), (2, 3), (3, 0)] * 5
-        phase_b = [(0, 2), (1, 3), (2, 0), (3, 1)] * 5
-        bounds = phase_boundaries(phase_a + phase_b, window=4)
-        assert any(abs(b - len(phase_a)) <= 4 for b in bounds)
-
-    def test_uniform_trace_no_boundaries(self):
-        trace = [(0, 1), (1, 2)] * 20
-        assert phase_boundaries(trace, window=4) == []
-
-    def test_short_trace(self):
-        assert phase_boundaries([(0, 1)] * 3, window=4) == []
-
-    def test_bad_fraction(self):
-        with pytest.raises(ConfigurationError):
-            phase_boundaries([], 4, jump_fraction=0.0)
