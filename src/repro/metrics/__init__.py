@@ -2,7 +2,6 @@
 
 from .degradation import DegradationReport, degradation_report
 from .efficiency import efficiency, efficiency_from_bound, run_lower_bound_ps
-from .fairness import jain_index, latency_fairness, throughput_fairness
 from .serialization import load_result, result_from_dict, result_to_dict, save_result
 from .latencies import LatencySummary, summarize_latencies
 from .report import format_csv, format_series, format_table
@@ -13,9 +12,6 @@ __all__ = [
     "efficiency",
     "efficiency_from_bound",
     "run_lower_bound_ps",
-    "jain_index",
-    "latency_fairness",
-    "throughput_fairness",
     "load_result",
     "result_from_dict",
     "result_to_dict",
