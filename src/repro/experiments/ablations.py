@@ -1,15 +1,15 @@
 """Ablations for the design choices the paper proposes but does not sweep.
 
 Each ablation corresponds to an extension or design knob from Sections 3
-and 4 (DESIGN.md experiment ids A1–A6):
+and 4 (DESIGN.md experiment ids A1–A12):
 
 * **A1 — multiple SL units** (Section 4, ext. 1): scheduling-throughput
   limited workloads speed up with parallel SL-array copies.
 * **A2 — multi-slot connections** (Section 4, ext. 2): a connection with a
   deep backlog gets additional TDM slots, multiplying its bandwidth.
 * **A3 — eviction predictors** (Section 3.2): none vs time-out vs counter
-  vs oracle on sequential mesh traffic, where connection reuse across
-  rounds is what a predictor can save.
+  on sequential mesh traffic, where connection reuse across rounds is what
+  a predictor can save.
 * **A4 — guard band** (Section 4): usable slot bytes shrink with the guard
   fraction; efficiency on a preloaded mesh degrades proportionally.
 * **A5 — priority rotation** (Section 4): fixed priority starves
