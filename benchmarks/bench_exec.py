@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.exec import ResultCache, canonical_json, derive_seed, map_cells
 from repro.experiments.figure4 import run_figure4
-from repro.params import PAPER_PARAMS
 
 
 @dataclass(slots=True, frozen=True)

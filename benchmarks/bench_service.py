@@ -14,9 +14,8 @@ fixed seed; only the benchmark's wall-clock row varies between machines.
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
-from conftest import RESULTS_DIR, bench_params
+from conftest import archive, bench_params
 
 from repro.params import SystemParams
 from repro.service import (
@@ -125,10 +124,7 @@ def test_service_slo_vs_offered_load(benchmark):
     assert rows[-1]["shed_rate"] > 0.0
     assert all(r["p50_ns"] > 0 for r in rows)
 
-    text = _markdown(params, rows)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    Path(RESULTS_DIR / "service_slo.md").write_text(text)
-    print(f"\n{text}")
+    archive("service_slo", _markdown(params, rows), suffix=".md")
 
     # the benchmark number: the saturation-point campaign
     benchmark.pedantic(_run_point, args=(params, 1.0), rounds=3, iterations=1)

@@ -29,7 +29,7 @@ from ..sim.clock import us
 from ..sim.trace import Tracer
 from ..params import SystemParams
 from .core import SwitchService
-from .model import PS_PER_S, ServiceConfig
+from .model import ServiceConfig
 from .invariants import check_invariants
 from .workload import WorkloadSpec, predicted_pairs
 

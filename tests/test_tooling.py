@@ -1,24 +1,34 @@
 """The repo's own lint gates, run as tests so they cannot rot.
 
-``tools/check_construction.py`` enforces two boundaries:
+``tools/check_construction.py`` enforces four rules:
 
-* concrete scheme classes (TdmNetwork, CircuitNetwork, WormholeNetwork)
-  may only be constructed inside ``src/repro/networks/`` and ``tests/``
-  — everything else resolves through
-  ``repro.networks.registry.build_network``;
+* concrete scheme classes (TdmNetwork, CircuitNetwork, WormholeNetwork,
+  MultiSwitchTdmNetwork, IslipNetwork) may only be constructed inside
+  ``src/repro/networks/`` and ``tests/`` — everything else resolves
+  through ``repro.networks.registry.build_network``;
+* the switch-graph builders (``full_mesh``, ``fat_tree``, ``line``) may
+  only be called inside ``src/repro/topo/``, ``src/repro/networks/`` and
+  ``tests/``;
 * ``multiprocessing`` / ``ProcessPoolExecutor`` may only appear inside
   ``src/repro/exec/`` and ``tests/`` — all process fan-out goes through
-  ``repro.exec.map_cells``.
+  ``repro.exec.map_cells``;
+* every public name defined under ``src/repro`` has a use outside tests,
+  or is listed in ``DELIBERATE_API``.
+
+The benchmark harness's ``archive`` is checked here too: a smoke run must
+not rewrite the committed records under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 CHECKER = REPO / "tools" / "check_construction.py"
+BENCH_CONFTEST = REPO / "benchmarks" / "conftest.py"
 
 
 def _run(*args: str) -> subprocess.CompletedProcess[str]:
@@ -110,3 +120,65 @@ def test_repro_exec_is_exempt_from_the_pool_rule():
     # run (exercised above) must not flag it
     engine = REPO / "src" / "repro" / "exec" / "engine.py"
     assert "ProcessPoolExecutor" in engine.read_text()
+
+
+def test_checker_flags_an_uncalled_def(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def unused(self):\n"
+        "        return Box().used()\n"
+        "\n"
+        "\n"
+        "def orphan():\n"
+        "    return orphan()\n"
+    )
+    (tmp_path / "app.py").write_text("from lib import Box\nBox().used()\n")
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert "lib.py:5: lib.Box.unused is defined but nothing" in proc.stdout
+    # recursion is no use: a def's own body does not count
+    assert "lib.py:9: lib.orphan is defined but nothing" in proc.stdout
+    assert "lib.Box.used" not in proc.stdout
+    assert "lib.Box " not in proc.stdout
+
+
+def test_deliberate_api_reasons_are_from_the_vocabulary():
+    spec = importlib.util.spec_from_file_location("check_construction", CHECKER)
+    assert spec is not None and spec.loader is not None
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    assert set(checker.DELIBERATE_API.values()) <= {
+        "oracle",
+        "paper",
+        "documented",
+        "tested",
+    }
+
+
+def _load_bench_conftest():
+    spec = importlib.util.spec_from_file_location("bench_conftest", BENCH_CONFTEST)
+    assert spec is not None and spec.loader is not None
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_smoke_run_leaves_committed_records_alone(tmp_path, monkeypatch, capsys):
+    conftest = _load_bench_conftest()
+    monkeypatch.setattr(conftest, "RESULTS_DIR", tmp_path / "results")
+    # any value marks a smoke run, the full size included: some benches
+    # pick their own sizes and never read it
+    for ports in ("16", "128"):
+        monkeypatch.setenv("REPRO_BENCH_PORTS", ports)
+        conftest.archive("obs", f"{ports}-port smoke")
+        assert f"{ports}-port smoke" in capsys.readouterr().out
+    assert not (tmp_path / "results").exists()
+
+    monkeypatch.delenv("REPRO_BENCH_PORTS")
+    conftest.archive("obs", "full run")
+    conftest.archive("service_slo", "| table |", suffix=".md")
+    assert (tmp_path / "results" / "obs.txt").read_text() == "full run"
+    assert (tmp_path / "results" / "service_slo.md").read_text() == "| table |"
