@@ -1,7 +1,7 @@
 """Benchmarks of the parallel experiment engine itself.
 
 Not paper artifacts — these guard the engine's overheads: the canonical
-cell encoding and seed derivation that run once per cell, the
+cell encoding that runs once per cell, the
 content-addressed cache round-trip, and the end-to-end win of a warm
 cache over recomputation.  The pool paths are covered functionally in
 ``tests/exec``; wall-clock pool speedup is hardware-dependent and is
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec import ResultCache, canonical_json, derive_seed, map_cells
+from repro.exec import ResultCache, canonical_json, map_cells
 from repro.experiments.figure4 import run_figure4
 
 
@@ -35,12 +35,12 @@ def _square(cell: _Cell) -> int:
     return cell.size_bytes * cell.size_bytes
 
 
-def test_canonical_encode_and_seed(benchmark):
-    def derive_all():
-        return [derive_seed(1, canonical_json(cell)) for cell in _CELLS]
+def test_canonical_encode(benchmark):
+    def encode_all():
+        return [canonical_json(cell) for cell in _CELLS]
 
-    seeds = benchmark(derive_all)
-    assert len(set(seeds)) == len(_CELLS)
+    encodings = benchmark(encode_all)
+    assert len(set(encodings)) == len(_CELLS)
 
 
 def test_cache_round_trip(benchmark, tmp_path):
@@ -55,7 +55,7 @@ def test_cache_round_trip(benchmark, tmp_path):
 
 
 def test_engine_overhead_vs_bare_loop(benchmark):
-    # the engine's per-cell cost (encoding, seeding, stats) on trivial
+    # the engine's per-cell cost (encoding, stats) on trivial
     # cells — the upper bound on overhead for real sweeps, whose cells
     # are 4-6 orders of magnitude slower
     def through_engine():

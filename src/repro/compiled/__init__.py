@@ -3,7 +3,6 @@
 from .coloring import connection_degree, decompose, edge_color, verify_coloring
 from .directives import PreloadProgram
 from .frontend import (
-    AllToAll,
     CompiledPhase,
     CompiledSchedule,
     Comm,
@@ -25,7 +24,6 @@ __all__ = [
     "edge_color",
     "verify_coloring",
     "PreloadProgram",
-    "AllToAll",
     "CompiledPhase",
     "CompiledSchedule",
     "Comm",

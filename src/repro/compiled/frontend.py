@@ -11,8 +11,7 @@ Sections 3.1 and 3.3 of the paper assume a compiler that can
 This module is that compiler for a small structured IR.  A program is a
 tree of :class:`Region` nodes; leaves are communication statements
 (:class:`Shift`, :class:`Stencil`, :class:`Gather`, :class:`Scatter`,
-:class:`AllToAll`, :class:`Unknown`), and :class:`Loop` / :class:`Seq`
-compose them.  :func:`compile_program` walks the tree and produces a
+:class:`Unknown`), and :class:`Loop` / :class:`Seq` compose them.  :func:`compile_program` walks the tree and produces a
 :class:`CompiledSchedule`: per phase, the static connection set, the
 batched preload program sized to the register budget, whether a flush is
 needed at entry, and the messages the phase will send.
@@ -50,7 +49,6 @@ __all__ = [
     "Stencil",
     "Gather",
     "Scatter",
-    "AllToAll",
     "Unknown",
     "Loop",
     "Seq",
@@ -148,21 +146,6 @@ class Scatter(Comm):
             Message(src=self.root, dst=v, size=size)
             for v in range(n)
             if v != self.root
-        ]
-
-
-@dataclass(frozen=True)
-class AllToAll(Comm):
-    """Complete exchange (shifted round order)."""
-
-    def connections(self, n: int) -> set[Connection]:
-        return {Connection(u, v) for u in range(n) for v in range(n) if u != v}
-
-    def messages(self, n: int, size: int) -> list[Message]:
-        return [
-            Message(src=u, dst=(u + s) % n, size=size)
-            for s in range(1, n)
-            for u in range(n)
         ]
 
 

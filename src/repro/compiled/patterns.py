@@ -1,8 +1,8 @@
 """Static communication pattern algebra.
 
 A :class:`StaticPattern` is a compile-time-known connection set with the
-operations a compiled-communication pass needs: union across code regions,
-optimal multiplexing degree, and compilation into preloadable
+operations a compiled-communication pass needs: optimal multiplexing
+degree and compilation into preloadable
 configurations (optionally batched to fit a register file of ``k`` slots).
 """
 
@@ -47,12 +47,6 @@ class StaticPattern:
         if u == v:
             raise ConfigurationError("self connections are not modelled")
         self.conns.add(Connection(u, v))
-
-    def union(self, other: "StaticPattern") -> "StaticPattern":
-        """The combined working set of two regions."""
-        if other.n != self.n:
-            raise ConfigurationError("cannot union patterns of different sizes")
-        return StaticPattern(self.n, self.conns | other.conns)
 
     @property
     def degree(self) -> int:

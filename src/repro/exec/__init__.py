@@ -7,9 +7,8 @@ The package behind ``--jobs`` and ``repro cache``:
 * :mod:`~repro.exec.cache` — the content-addressed
   :class:`~repro.exec.cache.ResultCache` (cell + seed + code fingerprint
   address a metrics payload);
-* :mod:`~repro.exec.canonical` — canonical cell encoding, per-cell seed
-  derivation, and the source fingerprint that makes stale cache hits
-  structurally impossible;
+* :mod:`~repro.exec.canonical` — canonical cell encoding and the source
+  fingerprint that makes stale cache hits structurally impossible;
 * :mod:`~repro.exec.worker` — per-process state scrubbing so reused pool
   workers cannot leak state between cells.
 
@@ -24,7 +23,6 @@ from .canonical import (
     canonical_encode,
     canonical_json,
     code_fingerprint,
-    derive_seed,
 )
 from .engine import JOBS_ENV_VAR, ExecOutcome, ExecStats, map_cells, resolve_jobs
 from .worker import reset_process_state
@@ -41,7 +39,6 @@ __all__ = [
     "canonical_encode",
     "canonical_json",
     "code_fingerprint",
-    "derive_seed",
     "map_cells",
     "reset_process_state",
     "resolve_jobs",

@@ -1,10 +1,9 @@
-"""Canonical cell encoding, seed derivation, and the code fingerprint.
+"""Canonical cell encoding and the code fingerprint.
 
 The execution engine (:mod:`repro.exec.engine`) identifies a run cell by
-*value*, never by position: the cache key and the per-cell seed are both
-derived from a canonical JSON encoding of the cell, so neither can depend
-on worker index, completion order, or dict insertion order.  Three pieces
-live here:
+*value*, never by position: the cache key is derived from a canonical
+JSON encoding of the cell, so it cannot depend on worker index,
+completion order, or dict insertion order.  Two pieces live here:
 
 * :func:`canonical_json` — a deterministic JSON encoding for the plain
   values cells are built from (primitives, lists/tuples, string-keyed
@@ -13,10 +12,6 @@ live here:
   qualified class name so two cell types with identical fields can never
   collide; anything unencodable (functions, tracers, arrays) raises
   :class:`CellEncodingError` — such values must not ride in a cell.
-* :func:`derive_seed` — the stable per-cell seed: a SHA-256 hash of the
-  canonical encoding mixed with the root seed, masked to 63 bits.  It is
-  a pure function of (root seed, cell value); running the same cell on
-  any worker, in any order, on any machine derives the same seed.
 * :func:`code_fingerprint` — a digest over every ``.py`` file under the
   installed ``repro`` package.  It participates in every cache key, so a
   result computed by old code can never be served after a source change.
@@ -37,7 +32,6 @@ __all__ = [
     "CellEncodingError",
     "canonical_encode",
     "canonical_json",
-    "derive_seed",
     "code_fingerprint",
 ]
 
@@ -96,23 +90,6 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(
         canonical_encode(obj), sort_keys=True, separators=(",", ":")
     )
-
-
-#: seeds are masked to 63 bits so they fit any signed 64-bit consumer
-_SEED_MASK = (1 << 63) - 1
-
-
-def derive_seed(root_seed: int, cell_key: str) -> int:
-    """The deterministic seed for the cell encoded as ``cell_key``.
-
-    ``seed = SHA256(root_seed ":" cell_key)[:8]`` — a pure function of its
-    arguments, never of worker identity or scheduling order.  Golden
-    values are pinned by the test suite; changing this function invalidates
-    every cached result (the fingerprint does that automatically) but must
-    never happen silently.
-    """
-    digest = hashlib.sha256(f"{int(root_seed)}:{cell_key}".encode()).digest()
-    return int.from_bytes(digest[:8], "little") & _SEED_MASK
 
 
 def _package_root() -> Path:

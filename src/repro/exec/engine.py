@@ -9,8 +9,8 @@ processes ran them or in what order they completed.  Determinism rests on
 three rules:
 
 * **cells are values** — each cell is canonically encoded
-  (:mod:`repro.exec.canonical`); its seed is derived from that encoding
-  plus the root seed, never from a worker index or a submission counter;
+  (:mod:`repro.exec.canonical`) and carries whatever seed it runs with,
+  so nothing about it comes from a worker index or a submission counter;
 * **ordered reduction** — results are placed by cell index, so completion
   order is invisible to the caller;
 * **no shared state** — every cell builds its own simulator/network/RNGs,
@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import ConfigurationError
 from .cache import ResultCache
-from .canonical import canonical_json, code_fingerprint, derive_seed
+from .canonical import canonical_json, code_fingerprint
 from .worker import init_worker, run_task
 
 __all__ = ["JOBS_ENV_VAR", "ExecStats", "ExecOutcome", "map_cells", "resolve_jobs"]
@@ -141,8 +141,6 @@ class ExecOutcome:
 
     payloads: list[Any]
     stats: ExecStats
-    #: the per-cell derived seeds, aligned with ``payloads``
-    cell_seeds: list[int]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.payloads)
@@ -170,7 +168,6 @@ def map_cells(
     jobs: int | None = None,
     cache: ResultCache | str | os.PathLike | bool | None = None,
     refresh: bool = False,
-    with_seed: bool = False,
     label: str = "",
     progress: bool = False,
     force_pool: bool = False,
@@ -180,17 +177,17 @@ def map_cells(
     Parameters
     ----------
     runner:
-        Module-level function mapping one cell to its payload.  Called as
-        ``runner(cell)``, or ``runner(cell, cell_seed)`` when
-        ``with_seed`` is set.  Must be picklable by reference (pools send
-        the qualified name, not the code).
+        Module-level function mapping one cell to its payload, called as
+        ``runner(cell)``.  Must be picklable by reference (pools send the
+        qualified name, not the code).
     cells:
         Plain-data cell values (see :mod:`repro.exec.canonical` for what
         encodes).  Each must fully describe its computation — the cache
         addresses payloads by cell content.
     root_seed:
-        The sweep's master seed; mixed into every derived cell seed and
-        every cache key.
+        The sweep's master seed; mixed into every cache key.  Sweeps that
+        must show *identical* workloads to every cell (the paper's
+        cross-scheme comparison rule) carry it inside the cell as well.
     jobs:
         Worker processes (see :func:`resolve_jobs`).  ``1`` = in-process
         serial execution, no pool.
@@ -199,11 +196,6 @@ def map_cells(
         directory; a path or :class:`ResultCache` = that cache.
     refresh:
         Recompute every cell and overwrite its cache entry.
-    with_seed:
-        Pass the derived per-cell seed as a second runner argument.
-        Sweeps that must show *identical* workloads to every cell (the
-        paper's cross-scheme comparison rule) leave this off and carry
-        the root seed inside the cell instead.
     progress:
         Write a carriage-return progress line and a final summary to
         stderr.
@@ -222,7 +214,6 @@ def map_cells(
         cell_wall=[0.0] * len(cells),
     )
     cell_jsons = [canonical_json(cell) for cell in cells]
-    cell_seeds = [derive_seed(root_seed, js) for js in cell_jsons]
     keys: list[str] = []
     if store is not None:
         fingerprint = code_fingerprint()
@@ -272,9 +263,7 @@ def map_cells(
         # worker-state scrubbing (the caller's process is its own)
         for i in pending:
             t0 = time.perf_counter()
-            payload = (
-                runner(cells[i], cell_seeds[i]) if with_seed else runner(cells[i])
-            )
+            payload = runner(cells[i])
             finish(i, payload, time.perf_counter() - t0)
     elif pending:
         workers = min(jobs, len(pending))
@@ -282,7 +271,7 @@ def map_cells(
             max_workers=workers, initializer=init_worker
         ) as pool:
             futures = {
-                pool.submit(run_task, runner, cells[i], cell_seeds[i], with_seed): i
+                pool.submit(run_task, runner, cells[i]): i
                 for i in pending
             }
             remaining = set(futures)
@@ -296,4 +285,4 @@ def map_cells(
     if progress:
         stream.write(f"\r{stats.summary()}\n")
         stream.flush()
-    return ExecOutcome(payloads=payloads, stats=stats, cell_seeds=cell_seeds)
+    return ExecOutcome(payloads=payloads, stats=stats)

@@ -75,12 +75,7 @@ def init_worker() -> None:
     reset_process_state()
 
 
-def run_task(
-    runner: Callable[..., Any],
-    cell: Any,
-    cell_seed: int,
-    with_seed: bool,
-) -> tuple[Any, float]:
+def run_task(runner: Callable[..., Any], cell: Any) -> tuple[Any, float]:
     """Execute one cell in a clean process state; returns (payload, wall_s).
 
     Runs in the pool worker (or inline for the serial path's pooled tests).
@@ -90,5 +85,5 @@ def run_task(
     """
     reset_process_state()
     start = time.perf_counter()
-    payload = runner(cell, cell_seed) if with_seed else runner(cell)
+    payload = runner(cell)
     return payload, time.perf_counter() - start

@@ -67,17 +67,6 @@ class ConfigMatrix:
                 cfg.establish(u, v)
         return cfg
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "ConfigMatrix":
-        """Build from a dense 0/1 matrix, validating the crossbar invariant."""
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConfigurationError("configuration matrix must be square")
-        cfg = cls(matrix.shape[0])
-        for u, v in zip(*np.nonzero(matrix)):
-            cfg.establish(int(u), int(v))
-        return cfg
-
     # -- mutation -----------------------------------------------------------
 
     def establish(self, u: int, v: int) -> None:

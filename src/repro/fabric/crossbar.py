@@ -52,10 +52,6 @@ class Crossbar:
         self.active.load(config)
         self.reconfigurations += 1
 
-    def connected(self, u: int, v: int) -> bool:
-        """Is input ``u`` currently wired to output ``v``?"""
-        return (u, v) in self.active
-
     def path_latency_ps(self) -> int:
         """End-to-end byte latency through the fabric (NIC to NIC)."""
         return self.timing.end_to_end_ps(self.params)

@@ -112,8 +112,7 @@ class BenesNetwork:
     def route_permutation(self, perm: list[int]) -> list[list[bool]]:
         """Switch settings (True = crossed) realising ``perm``.
 
-        ``perm`` must be a *full* permutation of ``range(n)``; complete a
-        partial one with :meth:`complete_partial` first.
+        ``perm`` must be a *full* permutation of ``range(n)``.
         """
         if sorted(perm) != list(range(self.n)):
             raise ConfigurationError("route_permutation needs a full permutation")
@@ -122,14 +121,6 @@ class BenesNetwork:
         ]
         self._route(perm, 0, 0, stages)
         return stages
-
-    @staticmethod
-    def complete_partial(row_to_col: np.ndarray) -> list[int]:
-        """Extend a partial permutation (-1 = unset) to a full one."""
-        n = len(row_to_col)
-        used = {int(v) for v in row_to_col if v >= 0}
-        free = iter(v for v in range(n) if v not in used)
-        return [int(v) if v >= 0 else next(free) for v in row_to_col]
 
     # -- recursive looping algorithm ------------------------------------------
 

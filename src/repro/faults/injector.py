@@ -12,8 +12,8 @@ The injector also plays bookkeeper for the campaign:
 
 * per-kind counters of faults applied vs. skipped (a scheme without a
   request plane skips request-wire faults, etc.);
-* detection events — stuck registers are quarantined ``detect_ps`` after
-  the fault (the management plane's scrubber latency);
+* detection events — stuck registers are quarantined 400 ns after the
+  fault (the management plane's scrubber latency);
 * recovery latency — the time from a connection's disruption to its next
   successfully transferred byte, collected across the run.
 
@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["FaultInjector"]
 
+#: the management plane's scrubber latency: how long after a register
+#: sticks it is quarantined
+_DETECT_PS = ns(400)
+
 
 class FaultInjector:
     """Replays a fault schedule against one network model per run."""
@@ -48,13 +52,9 @@ class FaultInjector:
         self,
         schedule: FaultSchedule,
         *,
-        detect_ps: int = ns(400),
         retry: RetryPolicy | None = None,
     ) -> None:
-        if detect_ps < 0:
-            raise ConfigurationError(f"detection latency must be >= 0, got {detect_ps}")
         self.schedule = schedule
-        self.detect_ps = detect_ps
         self.retry = retry if retry is not None else RetryPolicy()
         self.counters = Counter()
         self.recovery_ps: list[int] = []
@@ -128,9 +128,9 @@ class FaultInjector:
         if ev.kind is FaultKind.REG_STUCK:
             applied = net.fault_slot_stuck(ev.slot)
             if applied:
-                # the scrubber notices the slot misbehaving detect_ps later
+                # the scrubber notices the slot misbehaving _DETECT_PS later
                 net.sim.schedule(
-                    self.detect_ps,
+                    _DETECT_PS,
                     net.fault_slot_quarantine,
                     ev.slot,
                     priority=Priority.FABRIC,
@@ -181,6 +181,5 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FaultInjector(events={len(self.schedule)}, cursor={self._cursor}, "
-            f"detect_ps={self.detect_ps})"
+            f"FaultInjector(events={len(self.schedule)}, cursor={self._cursor})"
         )

@@ -83,17 +83,3 @@ class FaultEvent:
     src: int = -1
     dst: int = -1
     duration_ps: int = 0
-
-    def describe(self) -> str:
-        """One-line human-readable summary for traces and the CLI."""
-        where = {
-            FaultKind.LINK_TRANSIENT: lambda: (
-                f"port {self.port} links down for {self.duration_ps / 1000:.0f} ns"
-            ),
-            FaultKind.LINK_FAIL: lambda: f"port {self.port} links dead",
-            FaultKind.REG_STUCK: lambda: f"config register slot {self.slot} stuck",
-            FaultKind.REG_CORRUPT: lambda: f"config register slot {self.slot} corrupted",
-            FaultKind.REQ_DROP: lambda: f"request bit ({self.src} -> {self.dst}) lost",
-            FaultKind.SL_DEAD: lambda: f"SL cell ({self.src}, {self.dst}) dead",
-        }[self.kind]()
-        return f"t={self.time_ps / 1000:.0f} ns: {where}"

@@ -119,9 +119,3 @@ class FaultSchedule:
                 )
             )
         return cls(events=tuple(events))
-
-    def describe(self) -> str:
-        """Multi-line summary of the timeline, one event per line."""
-        if not self.events:
-            return "(empty fault schedule)"
-        return "\n".join(e.describe() for e in self.events)

@@ -133,6 +133,6 @@ class SchedulerAreaModel:
         or_trees = 2 * n * (n - 1) * self.le_per_or2
         return sl + config + latches + or_trees
 
-    def utilization(self, n: int, k: int, device_les: int = 25_660) -> float:
+    def utilization(self, n: int, k: int) -> float:
         """Fraction of the paper's EP1S25 device (25,660 LEs) consumed."""
-        return self.logic_elements(n, k) / device_les
+        return self.logic_elements(n, k) / 25_660

@@ -400,14 +400,9 @@ class BaseNetwork(ABC):
         see the same edges the paper's hardware would.
         """
         now = self.sim.now
-        n = self.params.n_ports
         self._phase_remaining = len(phase.messages)
         for msg in phase.messages:
-            if not (0 <= msg.src < n and 0 <= msg.dst < n):
-                raise SimulationError(
-                    f"message ({msg.src} -> {msg.dst}) does not fit a "
-                    f"{n}-port system; pattern/params size mismatch?"
-                )
+            self._check_fits(msg)
             # phase-relative injection offsets become absolute times
             msg.inject_ps += now
             self.ledger.offer(msg.src, msg.dst, msg.size)
@@ -421,6 +416,15 @@ class BaseNetwork(ABC):
                     False,
                     priority=Priority.NIC,
                 )
+
+    def _check_fits(self, msg: Message) -> None:
+        """Reject a message whose endpoints are not ports of this system."""
+        n = self.params.n_ports
+        if not (0 <= msg.src < n and 0 <= msg.dst < n):
+            raise SimulationError(
+                f"message ({msg.src} -> {msg.dst}) does not fit a "
+                f"{n}-port system; pattern/params size mismatch?"
+            )
 
     def _accept_or_drop(self, msg: Message, at_phase_start: bool) -> None:
         """Admit a message, unless an endpoint's links are already dead."""

@@ -168,9 +168,6 @@ class ConnectionManager:
     def watch_count(self) -> int:
         return len(self._watches)
 
-    def has_watch(self, key: Hashable) -> bool:
-        return key in self._watches
-
     def _injector(self) -> FaultInjector:
         injector = self._net.fault_injector
         assert injector is not None

@@ -87,22 +87,15 @@ class MultiHopModel:
         wire = p.request_wire_ps + p.grant_wire_ps
         return wire + hops * p.scheduler_pass_ps
 
-    def tdm_transfer_ps(self, spacing: int | None = None) -> int:
+    def tdm_transfer_ps(self) -> int:
         """Slot-quantised transfer time of one message.
 
-        ``spacing`` is the number of slot periods between the connection's
-        successive slot occurrences: 1 when the rest of the network is
-        quiet (idle-slot skipping hands the stream every slot — the
-        contention-free case, matching the contention-free wormhole
-        numbers), ``k`` when all ``k`` configurations carry traffic.
+        The stream holds every slot: idle-slot skipping hands it each one
+        while the rest of the network is quiet, the contention-free case
+        that matches the contention-free wormhole numbers.
         """
         p = self.params
-        if spacing is None:
-            spacing = 1
-        if spacing < 1:
-            raise ConfigurationError("slot spacing must be >= 1")
-        slots = p.slots_for(self.msg_bytes)
-        return ((slots - 1) * spacing + 1) * p.slot_ps
+        return p.slots_for(self.msg_bytes) * p.slot_ps
 
     def tdm_first_message_ps(self, hops: int) -> int:
         return (

@@ -217,8 +217,14 @@ def _make_ideal(spec: RunSpec) -> BaseNetwork:
     return IdealNetwork(spec.params, tracer=spec.tracer, **spec.options)
 
 
-def _tdm_factory(mode: str) -> SchemeFactory:
+def _tdm_factory(mode: str, schedule_computer: str | None = None) -> SchemeFactory:
+    """Crossbar TDM in ``mode``; ``schedule_computer`` is only a default,
+    a caller's ``options`` entry wins."""
+
     def make(spec: RunSpec) -> BaseNetwork:
+        options = dict(spec.options)
+        if schedule_computer is not None:
+            options.setdefault("schedule_computer", schedule_computer)
         return TdmNetwork(
             spec.params,
             k=spec.k,
@@ -229,7 +235,7 @@ def _tdm_factory(mode: str) -> SchemeFactory:
             faults=spec.faults,
             strict=spec.strict,
             max_wall_s=spec.max_wall_s,
-            **spec.options,
+            **options,
         )
 
     return make
@@ -246,24 +252,6 @@ def _make_islip(spec: RunSpec) -> BaseNetwork:
         strict=spec.strict,
         max_wall_s=spec.max_wall_s,
         **spec.options,
-    )
-
-
-def _make_solstice_tdm(spec: RunSpec) -> BaseNetwork:
-    """Pure-preload TDM whose program comes from the Solstice computer."""
-    options = dict(spec.options)
-    options.setdefault("schedule_computer", "solstice")
-    return TdmNetwork(
-        spec.params,
-        k=spec.k,
-        mode="preload",
-        k_preload=spec.k_preload,
-        injection_window=spec.injection_window,
-        tracer=spec.tracer,
-        faults=spec.faults,
-        strict=spec.strict,
-        max_wall_s=spec.max_wall_s,
-        **options,
     )
 
 
@@ -389,7 +377,7 @@ register_scheme(
 )
 register_scheme(
     "solstice-tdm",
-    _make_solstice_tdm,
+    _tdm_factory("preload", schedule_computer="solstice"),
     aliases=("solstice",),
     capabilities=SchemeCapabilities(
         description="preload TDM fed by Solstice-style demand-ranked schedules",

@@ -243,11 +243,7 @@ class TdmNetwork(BaseNetwork, LifecycleClient):
         self._phase_remaining = len(phase.messages)
         dead = self._link_dead
         for msg in phase.messages:
-            if not (0 <= msg.src < n and 0 <= msg.dst < n):
-                raise SchedulingError(
-                    f"message ({msg.src} -> {msg.dst}) does not fit a "
-                    f"{n}-port system; pattern/params size mismatch?"
-                )
+            self._check_fits(msg)
             msg.inject_ps += now
             self.ledger.offer(msg.src, msg.dst, msg.size)
             if self._faults_active and (dead[msg.src] or dead[msg.dst]):

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from ..params import SystemParams
 from ..sim.trace import NULL_TRACER, Tracer
 from ..types import Message, MessageRecord
@@ -68,9 +66,6 @@ class Nic:
                 size=msg.size,
                 depth=int(self.voqs.bytes_pending[msg.dst]),
             )
-
-    def request_vector(self) -> np.ndarray:
-        return self.voqs.request_vector()
 
     def receive(self, record: MessageRecord) -> None:
         """Account a completed delivery (last byte arrived)."""

@@ -64,10 +64,6 @@ class VirtualOutputQueues:
         self.bytes_pending[msg.dst] += msg.size
         self.enqueued_bytes += msg.size
 
-    def request_vector(self) -> np.ndarray:
-        """The NIC's N-bit request signal R_u (True where a queue is non-empty)."""
-        return self.bytes_pending > 0
-
     def head(self, dst: int) -> Message | None:
         q = self._queues[dst]
         return q[0] if q else None

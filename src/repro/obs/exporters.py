@@ -226,8 +226,6 @@ def to_chrome_trace(
     source: Any,
     path: str | Path,
     label: str = "run",
-    *,
-    include_instants: bool = True,
 ) -> dict[str, int]:
     """Write a Chrome/Perfetto JSON trace; returns per-category counts.
 
@@ -279,28 +277,27 @@ def to_chrome_trace(
                 }
             )
             counts["spans"] += 1
-        if include_instants:
-            span_kinds = {rule.begin for rule in SPAN_RULES}
-            for rule in SPAN_RULES:
-                span_kinds.update(rule.end)
-            for ev in run.events:
-                if ev.kind in span_kinds:
-                    continue  # already represented by a span boundary
-                tid = _instant_tid(ev)
-                thread_name(tid)
-                trace.append(
-                    {
-                        "ph": "i",
-                        "pid": pid,
-                        "tid": tid,
-                        "name": ev.kind,
-                        "cat": CATEGORIES.get(ev.kind, "misc"),
-                        "ts": ev.time_ps / _PS_PER_US,
-                        "s": "t",
-                        "args": dict(ev.payload),
-                    }
-                )
-                counts["instants"] += 1
+        span_kinds = {rule.begin for rule in SPAN_RULES}
+        for rule in SPAN_RULES:
+            span_kinds.update(rule.end)
+        for ev in run.events:
+            if ev.kind in span_kinds:
+                continue  # already represented by a span boundary
+            tid = _instant_tid(ev)
+            thread_name(tid)
+            trace.append(
+                {
+                    "ph": "i",
+                    "pid": pid,
+                    "tid": tid,
+                    "name": ev.kind,
+                    "cat": CATEGORIES.get(ev.kind, "misc"),
+                    "ts": ev.time_ps / _PS_PER_US,
+                    "s": "t",
+                    "args": dict(ev.payload),
+                }
+            )
+            counts["instants"] += 1
         for tid, name in sorted(tids.items()):
             trace.append(
                 {

@@ -54,10 +54,6 @@ class SchedulerPass:
     slot: int | None  # None: no dynamic slot available to schedule
     outcome: PassOutcome | None
 
-    @property
-    def changed(self) -> bool:
-        return self.outcome is not None and bool(self.outcome.toggles)
-
 
 class Scheduler:
     """The paper's scheduler: SL array + register file + TDM counter."""

@@ -53,11 +53,6 @@ class TokenBucket:
     def rate_per_s(self) -> float:
         return self._rate_micro / _RATE_SCALE
 
-    def tokens(self, now_ps: int) -> int:
-        """Tokens available at ``now_ps`` (after refill)."""
-        self._refill(now_ps)
-        return self._tokens
-
     def _refill(self, now_ps: int) -> None:
         elapsed = now_ps - self._last_ps
         if elapsed < 0:  # pragma: no cover - callers advance monotonically

@@ -139,11 +139,6 @@ class SloRecorder:
     # -- windows ------------------------------------------------------------------
 
     @property
-    def window_decisions(self) -> int:
-        """Admission decisions resolved in the open window (grants + sheds)."""
-        return self._w_granted + self._w_shed
-
-    @property
     def window_pressure_rate(self) -> float:
         """Window shed rate *excluding* throttle sheds — the ladder's signal.
 

@@ -152,24 +152,6 @@ class WorkloadSpec:
             dst += 1
         return src, dst
 
-    def hot_pairs(self, count: int) -> tuple[tuple[int, int], ...]:
-        """The spec-level prediction of the working set (hotspot mixes only).
-
-        For hotspot workloads the hot destinations are known a priori;
-        other mixes have no structural prediction (use
-        :func:`predicted_pairs` over generated arrivals instead).
-        """
-        if self.kind != "hotspot":
-            return ()
-        pairs = []
-        for dst in range(self.n_hot):
-            for src in range(self.n_ports):
-                if src != dst:
-                    pairs.append((src, dst))
-                    if len(pairs) >= count:
-                        return tuple(pairs)
-        return tuple(pairs)
-
 
 def predicted_pairs(
     arrivals: Iterable[Arrival] | Sequence[Arrival], count: int

@@ -41,14 +41,13 @@ def percentile_ps(sorted_values: list[int], q: float) -> int:
 
 @dataclass(slots=True)
 class OnlineStats:
-    """Welford mean/variance plus min/max, in one pass.
+    """Running mean, total and min/max, in one pass.
 
-    Works on ints or floats; all derived quantities are floats.
+    Works on ints or floats; the mean is a float.
     """
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = 0.0
     minimum: float = math.inf
     maximum: float = -math.inf
     total: float = 0.0
@@ -56,18 +55,11 @@ class OnlineStats:
     def add(self, x: float) -> None:
         self.count += 1
         self.total += x
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
+        self.mean += (x - self.mean) / self.count
         if x < self.minimum:
             self.minimum = x
         if x > self.maximum:
             self.maximum = x
-
-    @property
-    def variance(self) -> float:
-        """Population variance (0 for fewer than two samples)."""
-        return self._m2 / self.count if self.count > 1 else 0.0
 
     def __len__(self) -> int:
         return self.count

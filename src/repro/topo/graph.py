@@ -351,21 +351,6 @@ class Topology:
             for (a, b), load in self.trunk_loads(config.connections()).items()
         )
 
-    def required_degree(self, conns: Iterable[tuple[int, int]]) -> int:
-        """Lower bound on the TDM passes ``conns`` need on this graph.
-
-        The worst ``ceil(load / links)`` over the directed hops; 0 for no
-        connections, 1 when every hop is within capacity.
-        """
-        conns = list(conns)
-        if not conns:
-            return 0
-        loads = self.trunk_loads(conns)
-        return max(
-            (-(-load // len(self.trunk_links(a, b))) for (a, b), load in loads.items()),
-            default=1,
-        )
-
     # -- timing --------------------------------------------------------------------
 
     def path_latency_ps(self, params: SystemParams, n_switches: int) -> int:

@@ -31,6 +31,9 @@ __all__ = ["NasLikeTrace", "PHASE_ARCHETYPES"]
 
 PHASE_ARCHETYPES = ("stencil", "transpose", "reduce", "broadcast", "random")
 
+#: share of a ``random`` phase's connections the compiler still knows
+_STATIC_FRACTION = 0.9
+
 
 class NasLikeTrace(TrafficPattern):
     """A randomised multi-phase program trace in the NAS benchmark style."""
@@ -43,17 +46,13 @@ class NasLikeTrace(TrafficPattern):
         size_bytes: int,
         n_phases: int = 8,
         rounds_per_phase: int = 4,
-        static_fraction: float = 0.9,
     ) -> None:
         super().__init__(n_ports, size_bytes)
         if n_phases < 1 or rounds_per_phase < 1:
             raise TrafficError("phase and round counts must be positive")
-        if not 0.0 <= static_fraction <= 1.0:
-            raise TrafficError("static fraction must be in [0,1]")
         mesh_dims(n_ports)  # stencil phases need a mesh factorisation
         self.n_phases = n_phases
         self.rounds_per_phase = rounds_per_phase
-        self.static_fraction = static_fraction
 
     def build_phases(self, rng: RngStreams) -> list[TrafficPhase]:
         gen = rng.get(self.name)
@@ -123,6 +122,6 @@ class NasLikeTrace(TrafficPattern):
                 if dst >= u:
                     dst += 1
                 msgs.append(self._msg(u, dst))
-                if coins[u] < self.static_fraction:
+                if coins[u] < _STATIC_FRACTION:
                     static.add(Connection(u, dst))
         return TrafficPhase(f"phase{p}-random", msgs, static_conns=static)

@@ -26,8 +26,6 @@ __all__ = [
     "DropRecord",
     "Message",
     "MessageRecord",
-    "validate_port",
-    "validate_connection",
 ]
 
 
@@ -41,32 +39,6 @@ class Connection(NamedTuple):
 
     src: int
     dst: int
-
-    def reversed(self) -> "Connection":
-        """The connection carrying traffic in the opposite direction."""
-        return Connection(self.dst, self.src)
-
-
-def validate_port(port: int, n_ports: int, *, name: str = "port") -> int:
-    """Check that ``port`` is a valid port index for an ``n_ports`` system.
-
-    Returns the port unchanged so it can be used inline, raises
-    :class:`~repro.errors.ConfigurationError` otherwise.
-    """
-    if not isinstance(port, (int,)) or isinstance(port, bool):
-        raise ConfigurationError(f"{name} must be an int, got {port!r}")
-    if not 0 <= port < n_ports:
-        raise ConfigurationError(
-            f"{name} {port} out of range for a {n_ports}-port system"
-        )
-    return port
-
-
-def validate_connection(conn: Connection, n_ports: int) -> Connection:
-    """Validate both endpoints of ``conn`` against ``n_ports``."""
-    validate_port(conn.src, n_ports, name="src")
-    validate_port(conn.dst, n_ports, name="dst")
-    return conn
 
 
 @dataclass(slots=True)

@@ -27,15 +27,6 @@ class TestStaticPattern:
         with pytest.raises(ConfigurationError):
             StaticPattern(4, [(1, 1)])
 
-    def test_union(self):
-        a = StaticPattern(4, [(0, 1)])
-        b = StaticPattern(4, [(1, 2)])
-        assert len(a.union(b)) == 2
-
-    def test_union_size_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            StaticPattern(4).union(StaticPattern(5))
-
     def test_compile_covers(self):
         pat = StaticPattern(4, [(0, 1), (0, 2), (1, 2)])
         configs = pat.compile()

@@ -20,10 +20,6 @@ def square(cell: ValueCell) -> int:
     return cell.value * cell.value
 
 
-def echo_seed(cell: ValueCell, seed: int) -> tuple[int, int]:
-    return (cell.value, seed)
-
-
 #: the ad-hoc scheme name the pollution runner registers
 POLLUTION_SCHEME = "exec-test-pollution"
 

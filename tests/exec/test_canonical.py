@@ -1,4 +1,4 @@
-"""Canonical encoding, seed derivation, and fingerprint unit tests."""
+"""Canonical encoding and fingerprint unit tests."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.exec import (
     canonical_encode,
     canonical_json,
     code_fingerprint,
-    derive_seed,
 )
 
 
@@ -66,25 +65,6 @@ class TestCanonicalEncode:
             canonical_encode(object())
         with pytest.raises(CellEncodingError):
             canonical_encode(lambda: None)
-
-
-class TestDeriveSeed:
-    def test_golden_values(self):
-        # pinned: changing the derivation silently would invalidate every
-        # cached result and every recorded sweep
-        assert derive_seed(20050404, canonical_json({"x": 1})) == 6567955936201504498
-        assert derive_seed(0, canonical_json([1, 2, 3])) == 6369533259513052065
-        assert derive_seed(1, canonical_json("cell")) == 4243958255278433387
-
-    def test_pure_function_of_root_seed_and_cell(self):
-        key = canonical_json({"cell": 1})
-        assert derive_seed(7, key) == derive_seed(7, key)
-        assert derive_seed(7, key) != derive_seed(8, key)
-        assert derive_seed(7, key) != derive_seed(7, canonical_json({"cell": 2}))
-
-    def test_fits_signed_64_bit(self):
-        for i in range(64):
-            assert 0 <= derive_seed(i, canonical_json(i)) < 1 << 63
 
 
 class TestCodeFingerprint:

@@ -1,9 +1,9 @@
-"""map_cells engine tests: ordering, caching, seeds, stats, knobs."""
+"""map_cells engine tests: ordering, caching, stats, knobs."""
 
 from __future__ import annotations
 
 import pytest
-from _cellfuncs import ValueCell, echo_seed, square
+from _cellfuncs import ValueCell, square
 
 import repro.exec.engine as engine_mod
 from repro.errors import ConfigurationError
@@ -11,8 +11,6 @@ from repro.exec import (
     JOBS_ENV_VAR,
     CellEncodingError,
     ResultCache,
-    canonical_json,
-    derive_seed,
     map_cells,
     resolve_jobs,
 )
@@ -52,7 +50,6 @@ class TestOrderedReduction:
         serial = map_cells(square, CELLS, jobs=1)
         pooled = map_cells(square, CELLS, jobs=jobs)
         assert pooled.payloads == serial.payloads
-        assert pooled.cell_seeds == serial.cell_seeds
 
     def test_force_pool_with_one_worker(self):
         outcome = map_cells(square, CELLS, jobs=1, force_pool=True)
@@ -67,28 +64,6 @@ class TestOrderedReduction:
     def test_unencodable_cell_rejected_up_front(self):
         with pytest.raises(CellEncodingError):
             map_cells(square, [object()], jobs=1)
-
-
-class TestSeedDerivation:
-    def test_with_seed_passes_the_derived_seed(self):
-        outcome = map_cells(echo_seed, CELLS, root_seed=99, jobs=1, with_seed=True)
-        for cell, (value, seed), derived in zip(
-            CELLS, outcome.payloads, outcome.cell_seeds
-        ):
-            assert value == cell.value
-            assert seed == derived
-            assert derived == derive_seed(99, canonical_json(cell))
-
-    @pytest.mark.parametrize("jobs", [2, 8])
-    def test_pool_seeds_match_serial(self, jobs):
-        serial = map_cells(echo_seed, CELLS, root_seed=7, jobs=1, with_seed=True)
-        pooled = map_cells(echo_seed, CELLS, root_seed=7, jobs=jobs, with_seed=True)
-        assert pooled.payloads == serial.payloads
-
-    def test_root_seed_changes_every_cell_seed(self):
-        a = map_cells(echo_seed, CELLS, root_seed=1, jobs=1, with_seed=True)
-        b = map_cells(echo_seed, CELLS, root_seed=2, jobs=1, with_seed=True)
-        assert all(x != y for x, y in zip(a.cell_seeds, b.cell_seeds))
 
 
 class TestCaching:

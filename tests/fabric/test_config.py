@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,22 +40,6 @@ class TestConstruction:
         cfg = ConfigMatrix.from_permutation([2, -1, 0, -1])
         assert len(cfg) == 2
         assert cfg.output_of(1) is None
-
-    def test_from_matrix(self):
-        m = np.zeros((3, 3), dtype=bool)
-        m[0, 2] = True
-        cfg = ConfigMatrix.from_matrix(m)
-        assert (0, 2) in cfg
-
-    def test_from_matrix_rejects_nonsquare(self):
-        with pytest.raises(ConfigurationError):
-            ConfigMatrix.from_matrix(np.zeros((2, 3), dtype=bool))
-
-    def test_from_matrix_rejects_conflict(self):
-        m = np.zeros((3, 3), dtype=bool)
-        m[0, 1] = m[0, 2] = True
-        with pytest.raises(ConfigurationError):
-            ConfigMatrix.from_matrix(m)
 
 
 class TestMutation:

@@ -106,11 +106,6 @@ class TestBenes:
         with pytest.raises(ConfigurationError):
             BenesNetwork(4).route_permutation([1, 0, 3, 3])
 
-    def test_complete_partial(self):
-        full = BenesNetwork.complete_partial(np.array([2, -1, 0, -1]))
-        assert sorted(full) == [0, 1, 2, 3]
-        assert full[0] == 2 and full[2] == 0
-
     def test_any_partial_config_realizable(self):
         bn = BenesNetwork(8)
         cfg = ConfigMatrix.from_pairs(8, [(0, 5), (3, 2)])

@@ -54,8 +54,8 @@ class TestCrossbar:
         xbar = Crossbar(params, FabricTiming.lvds(params))
         cfg = ConfigMatrix.from_pairs(4, [(0, 1), (2, 3)])
         xbar.apply(cfg)
-        assert xbar.connected(0, 1)
-        assert not xbar.connected(1, 0)
+        assert (0, 1) in xbar.active
+        assert (1, 0) not in xbar.active
         assert xbar.reconfigurations == 1
 
     def test_reconfiguration_counter(self):

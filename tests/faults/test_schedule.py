@@ -69,11 +69,6 @@ class TestShape:
         assert set(DEFAULT_WEIGHTS) == set(FaultKind)
         assert sum(DEFAULT_WEIGHTS.values()) == pytest.approx(1.0)
 
-    def test_describe_one_line_per_event(self):
-        sched = _generate(rate_per_us=20.0, seed=7)
-        assert len(sched.describe().splitlines()) == len(sched)
-        assert FaultSchedule(events=()).describe() == "(empty fault schedule)"
-
     def test_unsorted_events_rejected(self):
         good = _generate(rate_per_us=10.0)
         with pytest.raises(ConfigurationError):

@@ -128,12 +128,11 @@ class TestSizeMismatchGuard:
             net.run([phase])
 
     def test_windowed_path_also_guarded(self, params):
-        from repro.errors import SchedulingError
         from repro.networks.tdm import TdmNetwork
         from repro.traffic.base import TrafficPhase, assign_seq
 
         phase = TrafficPhase("big", [Message(src=0, dst=12, size=64)])
         assign_seq([phase])
         net = TdmNetwork(params, k=2, mode="dynamic", injection_window=2)
-        with pytest.raises(SchedulingError, match="size mismatch"):
+        with pytest.raises(SimulationError, match="size mismatch"):
             net.run([phase])

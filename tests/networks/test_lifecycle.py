@@ -210,9 +210,9 @@ class TestWatchdogEdgeCases:
         client.seq = 11
         mgr.arm(4, 5)
         mgr.disarm_port(1)
-        assert not mgr.has_watch((0, 1))
-        assert not mgr.has_watch((1, 2))
-        assert mgr.has_watch((4, 5))
+        assert (0, 1) not in mgr._watches
+        assert (1, 2) not in mgr._watches
+        assert (4, 5) in mgr._watches
 
     def test_phase_reset_cancels_everything(self):
         mgr, net, client = _manager()

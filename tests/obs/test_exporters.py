@@ -193,13 +193,6 @@ class TestChromeTrace:
         assert thread_names[1003] == "slot 3"
         assert thread_names[0] == "port 0"
 
-    def test_instants_can_be_suppressed(self, tmp_path):
-        events = [ev(0, Kind.SL_PASS, slot=0, toggles=0, blocked=0)]
-        counts = to_chrome_trace(
-            events, tmp_path / "t.json", include_instants=False
-        )
-        assert counts["instants"] == 0
-
     def test_multi_run_gets_one_process_each(self, tmp_path):
         runs = [
             TracedRun("wormhole", [ev(0, Kind.WORM_GRANTED, src=0, dst=1, bytes=8)]),

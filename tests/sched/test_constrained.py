@@ -35,14 +35,14 @@ class TestBasics:
         s = ConstrainedScheduler(PARAMS, k=2, constraint=_AlwaysRealizable())
         s.set_request(0, 1, True)
         result = s.sl_pass()
-        assert result.changed
+        assert result.outcome.toggles
         assert s.established_anywhere(0, 1)
 
     def test_vetoed_establish_is_blocked(self):
         s = ConstrainedScheduler(PARAMS, k=2, constraint=_NeverRealizable())
         s.set_request(0, 1, True)
         result = s.sl_pass()
-        assert not result.changed
+        assert not result.outcome.toggles
         assert result.outcome.blocked == 1
         assert s.counters["blocked_by_fabric"] == 1
         assert not s.established_anywhere(0, 1)

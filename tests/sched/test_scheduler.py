@@ -27,7 +27,7 @@ class TestSchedulerBasics:
     def test_establish_on_request(self, sched):
         sched.set_request(1, 2, True)
         result = sched.sl_pass()
-        assert result.changed
+        assert result.outcome.toggles
         assert sched.established_anywhere(1, 2)
 
     def test_release_on_request_drop(self, sched):
@@ -125,7 +125,7 @@ class TestPreloadAndFlush:
         s = Scheduler(params, k=2)
         s.preload([ConfigMatrix(8), ConfigMatrix(8)])
         result = s.sl_pass()
-        assert result.slot is None and not result.changed
+        assert result.slot is None and result.outcome is None
 
 
 class TestTdmCounter:

@@ -290,4 +290,4 @@ def test_strict_audit_rejects_a_stale_memo():
     with pytest.raises(InvariantError):
         sched.sl_pass(0)
     sched.strict = False
-    assert not sched.sl_pass(0).changed  # without the audit it is replayed
+    assert not sched.sl_pass(0).outcome.toggles  # without the audit it is replayed

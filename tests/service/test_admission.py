@@ -9,6 +9,12 @@ from repro.service.admission import PortQueues, TokenBucket
 from repro.service.model import PS_PER_S
 
 
+def _tokens(bucket: TokenBucket, now_ps: int) -> int:
+    """Tokens available at ``now_ps``, after the bucket's own refill."""
+    bucket._refill(now_ps)
+    return bucket._tokens
+
+
 class TestTokenBucket:
     def test_starts_full_and_drains(self):
         bucket = TokenBucket(rate_per_s=10.0, burst=3)
@@ -22,20 +28,20 @@ class TestTokenBucket:
             assert bucket.try_take(0)
         # 4 tokens/s: one token every quarter virtual second
         assert not bucket.try_take(PS_PER_S // 4 - 1)
-        assert bucket.tokens(PS_PER_S // 4) == 1
+        assert _tokens(bucket, PS_PER_S // 4) == 1
         assert bucket.try_take(PS_PER_S // 4)
         assert not bucket.try_take(PS_PER_S // 4)
 
     def test_refill_capped_at_burst(self):
         bucket = TokenBucket(rate_per_s=1_000_000.0, burst=5)
-        assert bucket.tokens(10 * PS_PER_S) == 5
+        assert _tokens(bucket, 10 * PS_PER_S) == 5
 
     def test_fractional_rate_is_exact(self):
         # 1.5 tokens/s: 3 tokens every 2 seconds, no float drift
         bucket = TokenBucket(rate_per_s=1.5, burst=100)
         bucket._tokens = 0
-        assert bucket.tokens(2 * PS_PER_S) == 3
-        assert bucket.tokens(4 * PS_PER_S) == 6
+        assert _tokens(bucket, 2 * PS_PER_S) == 3
+        assert _tokens(bucket, 4 * PS_PER_S) == 6
 
     def test_remainder_carries_across_refills(self):
         bucket = TokenBucket(rate_per_s=3.0, burst=100)
@@ -43,8 +49,8 @@ class TestTokenBucket:
         # many tiny steps must gain exactly what one big step would
         step = PS_PER_S // 7
         for i in range(1, 8):
-            bucket.tokens(i * step)
-        assert bucket.tokens(PS_PER_S) == 3
+            _tokens(bucket, i * step)
+        assert _tokens(bucket, PS_PER_S) == 3
 
     def test_rate_zero_is_unlimited(self):
         bucket = TokenBucket(rate_per_s=0.0, burst=1)
@@ -56,8 +62,8 @@ class TestTokenBucket:
         bucket = TokenBucket(rate_per_s=10.0, burst=100)
         bucket._tokens = 0
         bucket.set_rate(PS_PER_S, 1.0)  # 10 tokens accrued before the change
-        assert bucket.tokens(PS_PER_S) == 10
-        assert bucket.tokens(2 * PS_PER_S) == 11
+        assert _tokens(bucket, PS_PER_S) == 10
+        assert _tokens(bucket, 2 * PS_PER_S) == 11
 
     @pytest.mark.parametrize("kwargs", [dict(rate_per_s=-1.0, burst=4), dict(rate_per_s=1.0, burst=0)])
     def test_invalid_parameters_rejected(self, kwargs):

@@ -92,7 +92,7 @@ class TestRecorder:
             slo.note_grant(10)
         slo.note_shed(Outcome.SHED_THROTTLE)
         slo.note_shed(Outcome.SHED_THROTTLE)
-        assert slo.window_decisions == 10
+        assert slo._w_granted + slo._w_shed == 10  # every shed is a decision
         assert slo.window_pressure_rate == 0.0  # throttle is the bucket working
         slo.note_shed(Outcome.SHED_TIMEOUT)
         assert slo.window_pressure_rate == pytest.approx(1 / 9)

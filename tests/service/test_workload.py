@@ -67,13 +67,6 @@ class TestGeneration:
         # the burst quarter carries 4x the density of the other three quarters
         assert inside > outside
 
-    def test_hot_pairs_only_for_hotspot(self):
-        assert _spec().hot_pairs(4) == ()
-        spec = _spec(kind="hotspot", n_hot=1)
-        pairs = spec.hot_pairs(3)
-        assert len(pairs) == 3
-        assert all(dst == 0 and src != 0 for src, dst in pairs)
-
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -145,17 +145,55 @@ def test_checker_flags_an_uncalled_def(tmp_path):
     assert "lib.Box " not in proc.stdout
 
 
-def test_deliberate_api_reasons_are_from_the_vocabulary():
+def _load_checker():
     spec = importlib.util.spec_from_file_location("check_construction", CHECKER)
     assert spec is not None and spec.loader is not None
     checker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checker)
-    assert set(checker.DELIBERATE_API.values()) <= {
-        "oracle",
-        "paper",
-        "documented",
-        "tested",
-    }
+    return checker
+
+
+def test_deliberate_api_reasons_are_from_the_vocabulary():
+    checker = _load_checker()
+    assert set(checker.DELIBERATE_API.values()) <= {"oracle", "paper", "documented"}
+
+
+def test_a_dead_caller_does_not_keep_its_callee_alive(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def leaf():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def middle():\n"
+        "    return leaf()\n"
+        "\n"
+        "\n"
+        "def top():\n"
+        "    return middle()\n"
+        "\n"
+        "\n"
+        "def kept_leaf():\n"
+        "    return 2\n"
+        "\n"
+        "\n"
+        "def kept():\n"
+        "    return kept_leaf()\n"
+    )
+    # top is uncalled, so middle's only use is dead, and then leaf's
+    proc = _run(str(tmp_path))
+    assert proc.returncode == 1
+    assert "lib.py:1: lib.leaf is defined but nothing" in proc.stdout
+    assert "lib.py:5: lib.middle is defined but nothing" in proc.stdout
+    # an allowlisted def is still reported, but its uses count
+    checker = _load_checker()
+    found = checker.find_unreferenced([(lib, "lib")], [lib], keep={"lib.kept"})
+    assert [name for _, _, name in found] == [
+        "lib.leaf",
+        "lib.middle",
+        "lib.top",
+        "lib.kept",
+    ]
 
 
 def _load_bench_conftest():

@@ -6,13 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.params import PAPER_PARAMS, SystemParams
-from repro.types import (
-    Connection,
-    Message,
-    MessageRecord,
-    validate_connection,
-    validate_port,
-)
+from repro.types import Connection, Message, MessageRecord
 
 
 class TestConnection:
@@ -20,29 +14,8 @@ class TestConnection:
         c = Connection(3, 7)
         assert c.src == 3 and c.dst == 7
 
-    def test_reversed(self):
-        assert Connection(3, 7).reversed() == Connection(7, 3)
-
     def test_is_tuple(self):
         assert Connection(1, 2) == (1, 2)
-
-    def test_validate_port_ok(self):
-        assert validate_port(5, 8) == 5
-
-    def test_validate_port_range(self):
-        with pytest.raises(ConfigurationError):
-            validate_port(8, 8)
-        with pytest.raises(ConfigurationError):
-            validate_port(-1, 8)
-
-    def test_validate_port_type(self):
-        with pytest.raises(ConfigurationError):
-            validate_port(True, 8)
-
-    def test_validate_connection(self):
-        validate_connection(Connection(0, 7), 8)
-        with pytest.raises(ConfigurationError):
-            validate_connection(Connection(0, 8), 8)
 
 
 class TestMessage:

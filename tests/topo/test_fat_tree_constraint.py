@@ -32,17 +32,6 @@ def analytic_capacity(level: int, taper: int) -> int:
     return max(1, 2**level // taper)
 
 
-def analytic_degree(conns, taper: int) -> int:
-    conns = list(conns)
-    if not conns:
-        return 0
-    loads = analytic_loads(conns)
-    return max(
-        (-(-load // analytic_capacity(key[0], taper)) for key, load in loads.items()),
-        default=1,
-    )
-
-
 def edge_of(n: int, a: int, b: int) -> tuple[int, int, str]:
     """The (level, subtree, direction) edge a directed switch hop uses.
 
@@ -89,7 +78,6 @@ def test_constraint_matches_analytic_rule(case, taper):
         for (level, _, _), load in expected.items()
     )
     assert topo.is_realizable(cfg) == fits
-    assert topo.required_degree(conns) == analytic_degree(conns, taper)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,4 +89,3 @@ def test_single_switch_is_the_trivial_constraint(case):
     cfg = ConfigMatrix.from_pairs(n, pairs)
     assert topo.trunk_loads(pairs) == {}
     assert topo.is_realizable(cfg)
-    assert topo.required_degree(pairs) == (1 if pairs else 0)

@@ -270,5 +270,3 @@ class TestNasLike:
     def test_bad_params(self):
         with pytest.raises(TrafficError):
             NasLikeTrace(16, 64, n_phases=0)
-        with pytest.raises(TrafficError):
-            NasLikeTrace(16, 64, static_fraction=1.5)

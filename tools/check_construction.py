@@ -25,10 +25,13 @@ the given roots:
   somewhere in ``src``, ``benchmarks``, ``examples`` or ``tools``
   outside its own definition.  ``__all__`` strings and re-export imports
   do not count, and neither do tests: a name only its own tests call is
-  dead code.  :data:`DELIBERATE_API` lists the exceptions, each with the
-  reason it stays; an entry that is gone or referenced again is flagged
-  too, so the list can only shrink.  Given explicit roots, definitions
-  and references both come from those roots.
+  dead code.  Nor does a use inside a def that is itself flagged: the
+  scan repeats until no more defs fall, so a caller that is dead itself
+  cannot keep its callee alive.  :data:`DELIBERATE_API` lists the
+  exceptions, each with the reason it stays, and uses inside them count;
+  an entry that is gone or referenced again is flagged too, so the list
+  can only shrink.  Given explicit roots, definitions and references
+  both come from those roots.
 
 Run:  python tools/check_construction.py            # lint the repo
       python tools/check_construction.py PATH ...   # lint specific roots
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from collections.abc import Container
 from pathlib import Path
 
 SCHEME_CLASSES = frozenset(
@@ -86,8 +90,7 @@ API_USE_ROOTS = ("src", "benchmarks", "examples", "tools")
 #: public names nothing in API_USE_ROOTS references, kept on purpose:
 #: ``oracle`` — a test checks the production path against it;
 #: ``paper`` — a model of a paper artifact or constant;
-#: ``documented`` — an entry point the docs promise to users;
-#: ``tested`` — only tests reach it (a candidate for deletion).
+#: ``documented`` — an entry point the docs promise to users.
 DELIBERATE_API: dict[str, str] = {
     "repro.compiled.coloring.verify_coloring": "oracle",
     "repro.nic.flow.FlowLedger.total_delivered": "oracle",
@@ -111,22 +114,6 @@ DELIBERATE_API: dict[str, str] = {
     "repro.traffic.synthetic.PermutationPattern": "documented",
     "repro.traffic.synthetic.TornadoPattern": "documented",
     "repro.traffic.synthetic.UniformRandomPattern": "documented",
-    "repro.compiled.frontend.AllToAll": "tested",
-    "repro.compiled.patterns.StaticPattern.union": "tested",
-    "repro.fabric.config.ConfigMatrix.from_matrix": "tested",
-    "repro.fabric.crossbar.Crossbar.connected": "tested",
-    "repro.fabric.multistage.BenesNetwork.complete_partial": "tested",
-    "repro.faults.schedule.FaultSchedule.describe": "tested",
-    "repro.networks.lifecycle.ConnectionManager.has_watch": "tested",
-    "repro.nic.nic.Nic.request_vector": "tested",
-    "repro.sched.scheduler.SchedulerPass.changed": "tested",
-    "repro.service.admission.TokenBucket.tokens": "tested",
-    "repro.service.slo.SloRecorder.window_decisions": "tested",
-    "repro.service.workload.WorkloadSpec.hot_pairs": "tested",
-    "repro.sim.stats.OnlineStats.variance": "tested",
-    "repro.topo.graph.Topology.required_degree": "tested",
-    "repro.types.Connection.reversed": "tested",
-    "repro.types.validate_connection": "tested",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -227,36 +214,58 @@ def _public_defs(tree: ast.AST) -> list[tuple[list[str], ast.AST]]:
 
 
 def find_unreferenced(
-    def_files: list[tuple[Path, str]], use_files: list[Path]
+    def_files: list[tuple[Path, str]],
+    use_files: list[Path],
+    keep: Container[str] = (),
 ) -> list[tuple[Path, int, str]]:
-    """Public defs no use file references outside the def itself.
+    """Public defs no live use references outside the def itself.
 
     ``def_files`` pairs each defining file with its dotted module name.
-    Returns (path, line, qualified name) triples.
+    A use inside a def this returns is dead unless that def is in
+    ``keep``, so the scan repeats until no more defs fall.  Returns
+    (path, line, qualified name) triples, ``keep`` entries among them.
     """
-    uses: dict[str, list[tuple[Path, int]]] = {}
-    for path in use_files:
-        tree = _parse(path)
-        if isinstance(tree, list):
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append((path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append((path, node.lineno))
-    out: list[tuple[Path, int, str]] = []
+    defs: list[tuple[Path, int, str, str]] = []
+    spans: dict[Path, list[tuple[int, int, int]]] = {}
     for path, module in def_files:
         tree = _parse(path)
         if isinstance(tree, list):
             continue
         for names, node in _public_defs(tree):
             first, last = node.lineno, node.end_lineno or node.lineno
+            spans.setdefault(path, []).append((first, last, len(defs)))
+            defs.append((path, first, ".".join([module, *names]), names[-1]))
+    # every use of a name, as the indices of the defs it sits inside
+    uses: dict[str, list[frozenset[int]]] = {}
+    for path in use_files:
+        tree = _parse(path)
+        if isinstance(tree, list):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            within = frozenset(
+                i for first, last, i in spans.get(path, ()) if first <= node.lineno <= last
+            )
+            uses.setdefault(name, []).append(within)
+    dead: set[int] = set()
+    while True:
+        shields = {i for i in dead if defs[i][2] not in keep}
+        now = {
+            i
+            for i, (_, _, _, name) in enumerate(defs)
             if not any(
-                use_path != path or not first <= line <= last
-                for use_path, line in uses.get(names[-1], ())
-            ):
-                out.append((path, first, ".".join([module, *names])))
-    return out
+                i not in within and shields.isdisjoint(within)
+                for within in uses.get(name, ())
+            )
+        }
+        if now == dead:
+            return [(defs[i][0], defs[i][1], defs[i][2]) for i in sorted(dead)]
+        dead = now
 
 
 def _module_name(path: Path, base: Path) -> str:
@@ -289,7 +298,7 @@ def dead_api_violations(repo_root: Path, roots: list[Path] | None) -> list[str]:
         ]
         use_files = [p for p, _ in def_files]
         allow = {}
-    found = find_unreferenced(def_files, use_files)
+    found = find_unreferenced(def_files, use_files, allow)
     out = [
         f"{_rel(path, repo_root)}:{line}: {name} is defined but nothing "
         "outside tests uses it — delete it, or list it in DELIBERATE_API"
