@@ -187,7 +187,7 @@ class BaseNetwork(ABC):
         n = self.params.n_ports
         self.sim = Simulator()
         clock = lambda: self.sim.now  # noqa: E731 - rebinds to the fresh sim
-        self.nics = [Nic(self.params, p, self.tracer, clock) for p in range(n)]
+        self.nics = [Nic(n, p, self.tracer, clock) for p in range(n)]
         self.queue_bytes = np.zeros((n, n), dtype=np.int64)
         for nic in self.nics:
             # a row *view*: every VOQ mutation lands in the matrix directly
@@ -400,49 +400,56 @@ class BaseNetwork(ABC):
         see the same edges the paper's hardware would.
         """
         now = self.sim.now
+        n = self.params.n_ports
         self._phase_remaining = len(phase.messages)
         for msg in phase.messages:
-            self._check_fits(msg)
+            if not (0 <= msg.src < n and 0 <= msg.dst < n):
+                raise SimulationError(
+                    f"message ({msg.src} -> {msg.dst}) does not fit a "
+                    f"{n}-port system; pattern/params size mismatch?"
+                )
             # phase-relative injection offsets become absolute times
             msg.inject_ps += now
             self.ledger.offer(msg.src, msg.dst, msg.size)
-            if msg.inject_ps <= now:
-                self._accept_or_drop(msg, at_phase_start=True)
-            else:
-                self.sim.schedule_at(
-                    msg.inject_ps,
-                    self._accept_or_drop,
-                    msg,
-                    False,
-                    priority=Priority.NIC,
-                )
+            self._arrive(msg, now)
 
-    def _check_fits(self, msg: Message) -> None:
-        """Reject a message whose endpoints are not ports of this system."""
-        n = self.params.n_ports
-        if not (0 <= msg.src < n and 0 <= msg.dst < n):
-            raise SimulationError(
-                f"message ({msg.src} -> {msg.dst}) does not fit a "
-                f"{n}-port system; pattern/params size mismatch?"
+    def _arrive(self, msg: Message, now: int) -> None:
+        """Bring an offered message to its NIC at its injection time: at
+        once if that is the phase start, else by an arrival event."""
+        if msg.inject_ps <= now:
+            self._accept_or_drop(msg, at_phase_start=True)
+        else:
+            self.sim.schedule_at(
+                msg.inject_ps,
+                self._accept_or_drop,
+                msg,
+                False,
+                priority=Priority.NIC,
             )
 
-    def _accept_or_drop(self, msg: Message, at_phase_start: bool) -> None:
-        """Admit a message, unless an endpoint's links are already dead."""
+    def _admit(self, msg: Message) -> bool:
+        """The admission rule: drop a message whose endpoint's links are
+        already dead, else record its injection.  True if admitted."""
         if self._faults_active and (
             self._link_dead[msg.src] or self._link_dead[msg.dst]
         ):
             self._drop_message(msg, "dead-link")
-            return
+            return False
         if self.tracer.enabled:
             self.tracer.record(
-                self.sim.now,
+                msg.inject_ps,
                 "msg-inject",
                 src=msg.src,
                 dst=msg.dst,
                 size=msg.size,
                 seq=msg.seq,
             )
-        self._accept(msg, at_phase_start)
+        return True
+
+    def _accept_or_drop(self, msg: Message, at_phase_start: bool) -> None:
+        """Hand a message to the scheme if the admission rule lets it in."""
+        if self._admit(msg):
+            self._accept(msg, at_phase_start)
 
     def _accept(self, msg: Message, at_phase_start: bool) -> None:
         """A message arrives at its source NIC (override per scheme)."""
@@ -451,12 +458,14 @@ class BaseNetwork(ABC):
     def _deliver(self, record: MessageRecord) -> None:
         """Account one completed message delivery."""
         self.ledger.deliver(record.src, record.dst, record.size)
-        self.nics[record.dst].receive(record)
         self.records.append(record)
         self._phase_remaining -= 1
         if self._phase_remaining < 0:  # pragma: no cover
             raise SimulationError("delivered more messages than injected")
         if self.tracer.enabled:
+            self.tracer.record(
+                record.done_ps, "nic-rx", port=record.dst, src=record.src, bytes=record.size
+            )
             self.tracer.record(
                 record.done_ps,
                 "deliver",

@@ -36,7 +36,7 @@ class DrainedMessage:
 class VirtualOutputQueues:
     """N logical FIFO queues on the output side of one NIC."""
 
-    __slots__ = ("n", "src", "_queues", "bytes_pending", "_starts", "enqueued_bytes")
+    __slots__ = ("n", "src", "_queues", "bytes_pending")
 
     def __init__(self, n: int, src: int) -> None:
         if not 0 <= src < n:
@@ -48,8 +48,6 @@ class VirtualOutputQueues:
         self._queues: list[deque[Message] | None] = [None] * n
         #: bytes not yet transmitted, per destination (authoritative)
         self.bytes_pending = np.zeros(n, dtype=np.int64)
-        self._starts: dict[int, int] = {}  # id(message) -> first-byte time
-        self.enqueued_bytes = 0
 
     def enqueue(self, msg: Message) -> None:
         """Append a message to its destination's logical queue."""
@@ -62,16 +60,10 @@ class VirtualOutputQueues:
             q = self._queues[msg.dst] = deque()
         q.append(msg)
         self.bytes_pending[msg.dst] += msg.size
-        self.enqueued_bytes += msg.size
 
     def head(self, dst: int) -> Message | None:
         q = self._queues[dst]
         return q[0] if q else None
-
-    def depth(self, dst: int) -> int:
-        """Messages queued for ``dst``."""
-        q = self._queues[dst]
-        return len(q) if q else 0
 
     def drain(
         self, dst: int, max_bytes: int, start_ps: int, byte_ps: int = 0
@@ -98,8 +90,8 @@ class VirtualOutputQueues:
             # whole budget, so nothing completes and the deque stays put
             msg = q[0]
             if msg.inject_ps <= start_ps and msg.remaining > max_bytes:
-                if msg.remaining == msg.size and id(msg) not in self._starts:
-                    self._starts[id(msg)] = start_ps
+                if msg.start_ps < 0:
+                    msg.start_ps = start_ps
                 msg.remaining -= max_bytes
                 self.bytes_pending[dst] -= max_bytes
                 return max_bytes, []
@@ -109,8 +101,8 @@ class VirtualOutputQueues:
             msg = q[0]
             if msg.inject_ps > start_ps + moved * byte_ps:
                 break  # not yet available to the DMA engine
-            if msg.remaining == msg.size and id(msg) not in self._starts:
-                self._starts[id(msg)] = start_ps + moved * byte_ps
+            if msg.start_ps < 0:
+                msg.start_ps = start_ps + moved * byte_ps
             take = min(msg.remaining, max_bytes - moved)
             msg.remaining -= take
             moved += take
@@ -119,7 +111,7 @@ class VirtualOutputQueues:
                 done.append(
                     DrainedMessage(
                         message=msg,
-                        start_ps=self._starts.pop(id(msg)),
+                        start_ps=msg.start_ps,
                         finish_ps=start_ps + moved * byte_ps,
                     )
                 )
@@ -134,8 +126,8 @@ class VirtualOutputQueues:
         Fault recovery uses this when a link dies: the messages can never
         be transmitted, so they leave the queues and are accounted as
         explicit drops by the caller.  Returns the removed messages (some
-        may be partially transmitted — ``remaining < size``); byte counters
-        and in-progress start times are cleaned up.
+        may be partially transmitted — ``remaining < size``); the byte
+        counters are cleaned up.
         """
         targets = range(self.n) if dst is None else (dst,)
         removed: list[Message] = []
@@ -144,7 +136,6 @@ class VirtualOutputQueues:
             while q:
                 msg = q.popleft()
                 self.bytes_pending[v] -= msg.remaining
-                self._starts.pop(id(msg), None)
                 removed.append(msg)
             if self.bytes_pending[v] != 0:  # pragma: no cover - defensive
                 raise InvariantError(
@@ -152,14 +143,6 @@ class VirtualOutputQueues:
                     f"{self.bytes_pending[v]} nonzero after purge"
                 )
         return removed
-
-    @property
-    def total_pending(self) -> int:
-        return int(self.bytes_pending.sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return self.total_pending == 0
 
     def check_invariants(self) -> None:
         """Verify byte counters match the per-message remainders (test hook)."""

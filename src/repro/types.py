@@ -47,7 +47,8 @@ class Message:
 
     ``Message`` objects are created by traffic patterns and mutated by the
     network models as data moves: ``remaining`` counts bytes that have not
-    yet left the source NIC.
+    yet left the source NIC, and ``start_ps`` is when the first of them
+    left (``-1`` until then).
 
     Attributes
     ----------
@@ -69,6 +70,7 @@ class Message:
     inject_ps: int = 0
     seq: int = 0
     remaining: int = field(init=False)
+    start_ps: int = field(init=False, default=-1)
 
     def __post_init__(self) -> None:
         if self.size <= 0:

@@ -7,28 +7,35 @@ import pytest
 from repro.errors import InvariantError
 from repro.nic.flow import FlowLedger
 from repro.nic.nic import Nic
-from repro.params import PAPER_PARAMS
-from repro.types import Message, MessageRecord
+from repro.types import Message
 
 
 @pytest.fixture
 def nic():
-    return Nic(PAPER_PARAMS.with_overrides(n_ports=8), port=2)
+    return Nic(8, port=2)
 
 
 class TestNic:
     def test_enqueue_and_request(self, nic):
         nic.enqueue(Message(src=2, dst=5, size=64))
         assert nic.voqs.bytes_pending[5] > 0
-        assert not nic.voqs.is_empty
 
-    def test_receive_accounting(self, nic):
-        rec = MessageRecord(
-            src=0, dst=2, size=64, inject_ps=0, start_ps=10, done_ps=20, seq=0
-        )
-        nic.receive(rec)
-        assert nic.bytes_received == 64
-        assert nic.records == [rec]
+    def test_purge_script_by_destination(self, nic):
+        msgs = [Message(src=2, dst=d, size=8, seq=i) for i, d in enumerate([5, 1, 5, 3, 5])]
+        nic.script.extend(msgs)
+        script = nic.script
+        assert nic.purge_script(5) == [msgs[0], msgs[2], msgs[4]]
+        # in place: the survivors keep their order in the same deque
+        assert nic.script is script
+        assert list(script) == [msgs[1], msgs[3]]
+        assert nic.purge_script(7) == []
+        assert list(script) == [msgs[1], msgs[3]]
+
+    def test_purge_script_without_destination_takes_all(self, nic):
+        msgs = [Message(src=2, dst=d, size=8) for d in (4, 0, 4)]
+        nic.script.extend(msgs)
+        assert nic.purge_script() == msgs
+        assert not nic.script
 
 
 class TestFlowLedger:
